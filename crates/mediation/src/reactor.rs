@@ -59,7 +59,7 @@ use std::time::Duration;
 use sqlb_core::allocation::{Allocation, AllocationMethod, Bid, CandidateInfo};
 use sqlb_core::{Mediator, MediatorState};
 use sqlb_obs::{Counter, EventKind, Histogram, Obs};
-use sqlb_types::{ConsumerId, ProviderId, Query, QueryId};
+use sqlb_types::{ConsumerId, ParticipantTable, ProviderId, Query, QueryId};
 
 use crate::runtime::{ConsumerEndpoint, ProviderEndpoint, RuntimeConfig};
 
@@ -156,16 +156,18 @@ type DetachedConsumer = (
 /// A provider endpoint temporarily detached from the facade for one wave.
 type DetachedProvider = (ProviderId, Box<dyn ProviderEndpoint>, Vec<Query>);
 
+/// A request of a wave. The job is taken when the event loop polls the
+/// endpoint, so a task is polled at most once.
 struct ConsumerTask<'a> {
     id: ConsumerId,
     latency: Option<Latency>,
-    job: ConsumerJob<'a>,
+    job: Option<ConsumerJob<'a>>,
 }
 
 struct ProviderTask<'a> {
     id: ProviderId,
     latency: Option<Latency>,
-    job: ProviderJob<'a>,
+    job: Option<ProviderJob<'a>>,
 }
 
 /// One wave of intention requests: at most one batched request per
@@ -188,6 +190,15 @@ impl<'a> IntentionWave<'a> {
         IntentionWave::default()
     }
 
+    /// Creates an empty wave with room for `consumers` consumer and
+    /// `providers` provider requests.
+    pub fn with_capacity(consumers: usize, providers: usize) -> Self {
+        IntentionWave {
+            consumers: Vec::with_capacity(consumers),
+            providers: Vec::with_capacity(providers),
+        }
+    }
+
     /// Adds a consumer's batched intention request. `latency` overrides
     /// the endpoint's latency for this wave; `None` means the reactor
     /// falls back to the endpoint's registered profile, while the
@@ -203,7 +214,7 @@ impl<'a> IntentionWave<'a> {
         self.consumers.push(ConsumerTask {
             id,
             latency,
-            job: Box::new(job),
+            job: Some(Box::new(job)),
         });
     }
 
@@ -219,7 +230,7 @@ impl<'a> IntentionWave<'a> {
         self.providers.push(ProviderTask {
             id,
             latency,
-            job: Box::new(job),
+            job: Some(Box::new(job)),
         });
     }
 
@@ -249,12 +260,115 @@ impl WaveReplies {
     /// wave's replies — one [`CandidateInfo`] vector per input query, in
     /// input order, with indifference (`0`) filled in for every missing
     /// answer (Algorithm 1, line 5).
+    ///
+    /// A single-query batch goes through
+    /// [`WaveReplies::into_query_infos`]; larger batches read the replies
+    /// keyed by `(query, provider)`.
     pub fn into_candidate_infos(
         self,
         requests: &[(Query, Vec<ProviderId>)],
     ) -> Vec<Vec<CandidateInfo>> {
-        let mut consumer_intentions: HashMap<(QueryId, ProviderId), f64> = HashMap::new();
-        for (_, reply) in self.consumers {
+        if let [(query, candidates)] = requests {
+            let mut infos = Vec::with_capacity(candidates.len());
+            self.into_query_infos(query.id, candidates, &mut infos);
+            return vec![infos];
+        }
+        let keyed = KeyedReplies::new(self);
+        requests
+            .iter()
+            .map(|(query, candidates)| {
+                let mut infos = Vec::with_capacity(candidates.len());
+                keyed.assemble(query.id, candidates, &mut infos);
+                infos
+            })
+            .collect()
+    }
+
+    /// Single-query form of [`WaveReplies::into_candidate_infos`]: clears
+    /// `out` and fills it with one [`CandidateInfo`] per candidate of
+    /// `query`, in candidate order — the same values
+    /// `into_candidate_infos(&[(query, candidates)])` returns, written into
+    /// the caller's buffer.
+    ///
+    /// When the replies line up with the request (the shape of a
+    /// one-query wave: at most one consumer request, one provider request
+    /// per candidate in candidate order, each reply one answer for
+    /// `query`) they are read by position. Anything else falls back to the
+    /// keyed read.
+    pub fn into_query_infos(
+        self,
+        query: QueryId,
+        candidates: &[ProviderId],
+        out: &mut Vec<CandidateInfo>,
+    ) {
+        out.clear();
+        if self.assemble_positional(query, candidates, out) {
+            return;
+        }
+        out.clear();
+        KeyedReplies::new(self).assemble(query, candidates, out);
+    }
+
+    /// The positional read behind [`WaveReplies::into_query_infos`].
+    /// Returns `false` (leaving `out` partly filled) as soon as a reply
+    /// does not line up with its position. The candidates must be
+    /// strictly ascending: with a repeated provider the keyed read keeps
+    /// the last value for both positions, which a positional read would
+    /// not reproduce.
+    fn assemble_positional(
+        &self,
+        query: QueryId,
+        candidates: &[ProviderId],
+        out: &mut Vec<CandidateInfo>,
+    ) -> bool {
+        let consumer_intentions: Option<&[(ProviderId, f64)]> = match self.consumers.as_slice() {
+            [] | [(_, None)] => None,
+            [(_, Some(reply))] => match reply.as_slice() {
+                [(q, per_provider)] if *q == query && per_provider.len() == candidates.len() => {
+                    Some(per_provider)
+                }
+                _ => return false,
+            },
+            _ => return false,
+        };
+        if self.providers.len() != candidates.len() {
+            return false;
+        }
+        let mut previous = None;
+        for (i, (&p, (provider, reply))) in candidates.iter().zip(&self.providers).enumerate() {
+            if *provider != p || previous >= Some(p) {
+                return false;
+            }
+            previous = Some(p);
+            let ci = match consumer_intentions {
+                Some(per_provider) if per_provider[i].0 == p => per_provider[i].1,
+                Some(_) => return false,
+                None => 0.0,
+            };
+            let answer = match reply.as_deref() {
+                None => None,
+                Some([answer]) if answer.query == query => Some(answer),
+                Some(_) => return false,
+            };
+            out.push(candidate_info(p, ci, answer));
+        }
+        true
+    }
+}
+
+/// A wave's replies keyed by `(query, provider)`: the general read, for
+/// replies in any order, of any multiplicity, or about any query. A later
+/// value for the same key replaces an earlier one; a key nobody answered
+/// reads as indifference.
+struct KeyedReplies {
+    consumer_intentions: HashMap<(QueryId, ProviderId), f64>,
+    provider_answers: HashMap<(QueryId, ProviderId), ProviderAnswer>,
+}
+
+impl KeyedReplies {
+    fn new(replies: WaveReplies) -> Self {
+        let mut consumer_intentions = HashMap::new();
+        for (_, reply) in replies.consumers {
             let Some(reply) = reply else { continue };
             for (query, per_provider) in reply {
                 for (provider, intention) in per_provider {
@@ -262,37 +376,43 @@ impl WaveReplies {
                 }
             }
         }
-        let mut provider_answers: HashMap<(QueryId, ProviderId), ProviderAnswer> = HashMap::new();
-        for (provider, reply) in self.providers {
+        let mut provider_answers = HashMap::new();
+        for (provider, reply) in replies.providers {
             let Some(reply) = reply else { continue };
             for answer in reply {
                 provider_answers.insert((answer.query, provider), answer);
             }
         }
-        requests
-            .iter()
-            .map(|(query, candidates)| {
-                candidates
-                    .iter()
-                    .map(|&p| {
-                        let ci = consumer_intentions
-                            .get(&(query.id, p))
-                            .copied()
-                            .unwrap_or(0.0);
-                        let answer = provider_answers.get(&(query.id, p));
-                        let mut info = CandidateInfo::new(p)
-                            .with_consumer_intention(ci)
-                            .with_provider_intention(answer.map_or(0.0, |a| a.intention))
-                            .with_utilization(answer.map_or(0.0, |a| a.utilization));
-                        if let Some(bid) = answer.and_then(|a| a.bid) {
-                            info = info.with_bid(bid);
-                        }
-                        info
-                    })
-                    .collect()
-            })
-            .collect()
+        KeyedReplies {
+            consumer_intentions,
+            provider_answers,
+        }
     }
+
+    /// Appends one [`CandidateInfo`] per candidate of `query` to `out`.
+    fn assemble(&self, query: QueryId, candidates: &[ProviderId], out: &mut Vec<CandidateInfo>) {
+        out.extend(candidates.iter().map(|&p| {
+            let ci = self
+                .consumer_intentions
+                .get(&(query, p))
+                .copied()
+                .unwrap_or(0.0);
+            candidate_info(p, ci, self.provider_answers.get(&(query, p)))
+        }));
+    }
+}
+
+/// One candidate's information from its consumer intention and its
+/// provider's answer; a missing answer reads as indifference.
+fn candidate_info(provider: ProviderId, ci: f64, answer: Option<&ProviderAnswer>) -> CandidateInfo {
+    let mut info = CandidateInfo::new(provider)
+        .with_consumer_intention(ci)
+        .with_provider_intention(answer.map_or(0.0, |a| a.intention))
+        .with_utilization(answer.map_or(0.0, |a| a.utilization));
+    if let Some(bid) = answer.and_then(|a| a.bid) {
+        info = info.with_bid(bid);
+    }
+    info
 }
 
 /// What happened during one wave, in the reactor's virtual time.
@@ -318,7 +438,6 @@ pub struct RoundStats {
 #[derive(Debug, Clone, Copy, Default)]
 struct EndpointProfile {
     latency: Latency,
-    waves_served: u64,
     timeouts: u64,
 }
 
@@ -327,13 +446,14 @@ struct EndpointProfile {
 ///
 /// Registration is light (one small profile per endpoint, no thread, no
 /// channel), which is what lets one reactor track tens of thousands of
-/// endpoints. Waves reference endpoints by id; an id that was never
-/// registered is served with the default profile (its reply is
-/// [`Latency::Immediate`]).
+/// endpoints. Profiles live in tables indexed by the endpoint's id, sized
+/// to the largest registered id. Waves reference endpoints by id; an id
+/// that was never registered is served with the default profile (its
+/// reply is [`Latency::Immediate`]).
 pub struct Reactor {
     config: RuntimeConfig,
-    consumers: HashMap<ConsumerId, EndpointProfile>,
-    providers: HashMap<ProviderId, EndpointProfile>,
+    consumers: ParticipantTable<ConsumerId, EndpointProfile>,
+    providers: ParticipantTable<ProviderId, EndpointProfile>,
     /// Virtual clock, in nanoseconds. Advances monotonically across waves.
     now_nanos: u64,
     waves: u64,
@@ -342,6 +462,11 @@ pub struct Reactor {
     obs: Obs,
     /// Pre-resolved instruments (see [`ReactorMetrics`]).
     metrics: ReactorMetrics,
+    /// The event loop's readiness queue and timer heap, kept across waves
+    /// so a wave schedules without allocating. Both are empty between
+    /// waves.
+    ready: VecDeque<usize>,
+    timers: BinaryHeap<Reverse<(u64, usize)>>,
 }
 
 impl Reactor {
@@ -349,13 +474,15 @@ impl Reactor {
     pub fn new(config: RuntimeConfig) -> Self {
         Reactor {
             config,
-            consumers: HashMap::new(),
-            providers: HashMap::new(),
+            consumers: ParticipantTable::new(),
+            providers: ParticipantTable::new(),
             now_nanos: 0,
             waves: 0,
             last_round: RoundStats::default(),
             obs: Obs::disabled(),
             metrics: ReactorMetrics::default(),
+            ready: VecDeque::new(),
+            timers: BinaryHeap::new(),
         }
     }
 
@@ -398,12 +525,12 @@ impl Reactor {
 
     /// Removes a consumer endpoint (e.g. on departure).
     pub fn deregister_consumer(&mut self, id: ConsumerId) {
-        self.consumers.remove(&id);
+        self.consumers.remove(id);
     }
 
     /// Removes a provider endpoint (e.g. on departure).
     pub fn deregister_provider(&mut self, id: ProviderId) {
-        self.providers.remove(&id);
+        self.providers.remove(id);
     }
 
     /// Number of registered consumer endpoints.
@@ -434,7 +561,7 @@ impl Reactor {
     /// How many waves a registered provider endpoint missed the deadline
     /// of (0 for unregistered ids).
     pub fn provider_timeouts(&self, id: ProviderId) -> u64 {
-        self.providers.get(&id).map_or(0, |p| p.timeouts)
+        self.providers.get(id).map_or(0, |p| p.timeouts)
     }
 
     /// Runs one wave to completion on the event loop and returns its
@@ -445,14 +572,14 @@ impl Reactor {
     /// reply has arrived or the clock reaches the wave deadline — at
     /// which point every outstanding request is marked timed out and its
     /// values degrade to indifference.
-    pub fn run_wave(&mut self, wave: IntentionWave<'_>) -> WaveReplies {
+    pub fn run_wave(&mut self, mut wave: IntentionWave<'_>) -> WaveReplies {
         self.waves += 1;
         let start = self.now_nanos;
         let timeout_nanos = duration_nanos(self.config.timeout);
         let deadline = start.saturating_add(timeout_nanos);
 
         let consumer_count = wave.consumers.len();
-        let total = wave.consumers.len() + wave.providers.len();
+        let total = wave.len();
         self.metrics.waves.inc();
         self.metrics.requests_delivered.add(total as u64);
         if self.obs.is_enabled() {
@@ -465,47 +592,50 @@ impl Reactor {
             );
         }
 
-        // Per-task job + reply storage. Tokens < consumer_count index the
-        // consumer tasks; the rest index the provider tasks.
-        let mut consumer_jobs: Vec<Option<ConsumerJob<'_>>> = Vec::with_capacity(consumer_count);
+        // Tokens < consumer_count index the consumer tasks; the rest index
+        // the provider tasks. A reply slot stays `None` until its endpoint
+        // is polled.
         let mut consumer_replies: Vec<(ConsumerId, Option<ConsumerBatchAnswer>)> =
             Vec::with_capacity(consumer_count);
-        let mut provider_jobs: Vec<Option<ProviderJob<'_>>> =
-            Vec::with_capacity(wave.providers.len());
         let mut provider_replies: Vec<(ProviderId, Option<ProviderBatchAnswer>)> =
             Vec::with_capacity(wave.providers.len());
-
-        let mut ready: VecDeque<usize> = VecDeque::new();
-        let mut timers: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        let mut pending = vec![true; total];
+        self.ready.clear();
+        self.timers.clear();
 
         // Delivery: every task enters the state machine according to its
         // effective latency (wave override, else registered profile).
-        for (token, task) in wave.consumers.into_iter().enumerate() {
-            let profile = self.consumers.get(&task.id).copied().unwrap_or_default();
+        for (token, task) in wave.consumers.iter().enumerate() {
+            let latency = task.latency.unwrap_or_else(|| {
+                self.consumers
+                    .get(task.id)
+                    .map(|p| p.latency)
+                    .unwrap_or_default()
+            });
             Self::deliver(
                 token,
-                task.latency.unwrap_or(profile.latency),
+                latency,
                 start,
                 deadline,
-                &mut ready,
-                &mut timers,
+                &mut self.ready,
+                &mut self.timers,
             );
-            consumer_jobs.push(Some(task.job));
             consumer_replies.push((task.id, None));
         }
-        for (i, task) in wave.providers.into_iter().enumerate() {
-            let token = consumer_count + i;
-            let profile = self.providers.get(&task.id).copied().unwrap_or_default();
+        for (i, task) in wave.providers.iter().enumerate() {
+            let latency = task.latency.unwrap_or_else(|| {
+                self.providers
+                    .get(task.id)
+                    .map(|p| p.latency)
+                    .unwrap_or_default()
+            });
             Self::deliver(
-                token,
-                task.latency.unwrap_or(profile.latency),
+                consumer_count + i,
+                latency,
                 start,
                 deadline,
-                &mut ready,
-                &mut timers,
+                &mut self.ready,
+                &mut self.timers,
             );
-            provider_jobs.push(Some(task.job));
             provider_replies.push((task.id, None));
         }
 
@@ -513,28 +643,26 @@ impl Reactor {
         let mut answered = 0usize;
         let mut clock = start;
         loop {
-            while let Some(token) = ready.pop_front() {
+            while let Some(token) = self.ready.pop_front() {
                 if token < consumer_count {
-                    let job = consumer_jobs[token].take().expect("job polled once");
+                    let job = wave.consumers[token].job.take().expect("job polled once");
                     consumer_replies[token].1 = Some(job());
                 } else {
-                    let job = provider_jobs[token - consumer_count]
-                        .take()
-                        .expect("job polled once");
-                    provider_replies[token - consumer_count].1 = Some(job());
+                    let i = token - consumer_count;
+                    let job = wave.providers[i].job.take().expect("job polled once");
+                    provider_replies[i].1 = Some(job());
                 }
-                pending[token] = false;
                 answered += 1;
             }
             if answered == total {
                 break;
             }
-            match timers.pop() {
+            match self.timers.pop() {
                 // A parked endpoint becomes ready: advance the clock to
                 // its readiness instant and poll it on the next turn.
                 Some(Reverse((at, token))) => {
                     clock = at;
-                    ready.push_back(token);
+                    self.ready.push_back(token);
                 }
                 // Nothing can become ready before the deadline: the wave
                 // times out *exactly* at the deadline.
@@ -570,21 +698,15 @@ impl Reactor {
                     },
                 );
             }
-        }
-
-        // Lifetime bookkeeping on the registered profiles.
-        for (token, (id, reply)) in consumer_replies.iter().enumerate() {
-            if let Some(profile) = self.consumers.get_mut(id) {
-                profile.waves_served += 1;
-                if pending[token] && reply.is_none() {
+            // Lifetime bookkeeping: a request still without a reply
+            // missed the deadline.
+            for (id, _) in consumer_replies.iter().filter(|(_, r)| r.is_none()) {
+                if let Some(profile) = self.consumers.get_mut(*id) {
                     profile.timeouts += 1;
                 }
             }
-        }
-        for (i, (id, reply)) in provider_replies.iter().enumerate() {
-            if let Some(profile) = self.providers.get_mut(id) {
-                profile.waves_served += 1;
-                if pending[consumer_count + i] && reply.is_none() {
+            for (id, _) in provider_replies.iter().filter(|(_, r)| r.is_none()) {
+                if let Some(profile) = self.providers.get_mut(*id) {
                     profile.timeouts += 1;
                 }
             }
@@ -670,9 +792,9 @@ pub fn run_wave_threaded(wave: IntentionWave<'_>, timeout: Duration) -> WaveRepl
             if matches!(latency, Latency::Never) {
                 continue;
             }
+            let Some(job) = task.job else { continue };
             expected += 1;
             let tx = tx.clone();
-            let job = task.job;
             scope.spawn(move || {
                 if let Latency::After(delay) = latency {
                     std::thread::sleep(delay);
@@ -685,9 +807,9 @@ pub fn run_wave_threaded(wave: IntentionWave<'_>, timeout: Duration) -> WaveRepl
             if matches!(latency, Latency::Never) {
                 continue;
             }
+            let Some(job) = task.job else { continue };
             expected += 1;
             let tx = tx.clone();
-            let job = task.job;
             scope.spawn(move || {
                 if let Latency::After(delay) = latency {
                     std::thread::sleep(delay);
@@ -1473,6 +1595,124 @@ mod tests {
         let replies = run_wave_threaded(wave, Duration::from_secs(2));
         assert!(replies.providers[0].1.is_none(), "Never sends no reply");
         assert!(replies.providers[1].1.is_some(), "1 ms beats the deadline");
+    }
+
+    /// A one-query wave over `providers`, each provider answering with
+    /// its own latency override.
+    fn wave_of(providers: &[(u32, Option<Latency>)]) -> IntentionWave<'static> {
+        let mut wave = IntentionWave::with_capacity(1, providers.len());
+        let candidates: Vec<ProviderId> =
+            providers.iter().map(|&(p, _)| ProviderId::new(p)).collect();
+        wave.consumer(ConsumerId::new(0), None, move || {
+            vec![(
+                QueryId::new(1),
+                candidates.iter().map(|&p| (p, 0.25)).collect(),
+            )]
+        });
+        for &(p, latency) in providers {
+            wave.provider(ProviderId::new(p), latency, move || {
+                vec![ProviderAnswer {
+                    query: QueryId::new(1),
+                    intention: 0.1 * f64::from(p),
+                    utilization: 0.5,
+                    bid: None,
+                }]
+            });
+        }
+        wave
+    }
+
+    #[test]
+    fn a_reused_reactor_runs_a_wave_like_a_fresh_one() {
+        let config = RuntimeConfig {
+            timeout: Duration::from_millis(50),
+            request_bids: false,
+        };
+        let requests = [(query(1), (0..3).map(ProviderId::new).collect::<Vec<_>>())];
+        let immediate = [(0, None), (1, None), (2, None)];
+
+        // A wave that hits its deadline: one endpoint never answers, one
+        // answers past the timeout, one answers in time but later.
+        let mut reused = Reactor::new(config);
+        reused.register_provider(ProviderId::new(0), Latency::Never);
+        let late = reused.run_wave(wave_of(&[
+            (0, None),
+            (1, Some(Latency::After(Duration::from_millis(80)))),
+            (2, Some(Latency::After(Duration::from_millis(20)))),
+        ]));
+        assert!(late.providers[0].1.is_none() && late.providers[1].1.is_none());
+        assert_eq!(reused.last_round().timed_out, 2);
+        assert_eq!(
+            reused.last_round().virtual_elapsed,
+            Duration::from_millis(50)
+        );
+        assert_eq!(reused.provider_timeouts(ProviderId::new(0)), 1);
+
+        // The next wave, all immediate, must not see anything of the
+        // previous one (a stale readiness token or parked timer).
+        reused.register_provider(ProviderId::new(0), Latency::Immediate);
+        let mut fresh = Reactor::new(config);
+        let from_reused = reused
+            .run_wave(wave_of(&immediate))
+            .into_candidate_infos(&requests);
+        let from_fresh = fresh
+            .run_wave(wave_of(&immediate))
+            .into_candidate_infos(&requests);
+        assert_eq!(from_reused, from_fresh);
+        let (a, b) = (reused.last_round(), fresh.last_round());
+        assert_eq!(
+            (
+                a.delivered,
+                a.answered,
+                a.timed_out,
+                a.virtual_elapsed,
+                a.hit_deadline
+            ),
+            (
+                b.delivered,
+                b.answered,
+                b.timed_out,
+                b.virtual_elapsed,
+                b.hit_deadline
+            )
+        );
+        assert_eq!((a.answered, a.timed_out), (4, 0));
+        assert_eq!(a.virtual_elapsed, Duration::ZERO);
+        assert_eq!(reused.waves(), 2);
+        assert_eq!(
+            reused.provider_timeouts(ProviderId::new(0)),
+            0,
+            "re-registered"
+        );
+    }
+
+    #[test]
+    fn profile_table_tracks_registration() {
+        let mut reactor = Reactor::new(RuntimeConfig::default());
+        for p in [0, 3, 7] {
+            reactor.register_provider(ProviderId::new(p), Latency::Immediate);
+        }
+        reactor.register_consumer(ConsumerId::new(2), Latency::Immediate);
+        assert_eq!((reactor.consumer_count(), reactor.provider_count()), (1, 3));
+
+        reactor.deregister_provider(ProviderId::new(3));
+        reactor.deregister_provider(ProviderId::new(3));
+        reactor.deregister_provider(ProviderId::new(1_000));
+        reactor.deregister_consumer(ConsumerId::new(2));
+        assert_eq!((reactor.consumer_count(), reactor.provider_count()), (0, 2));
+
+        reactor.register_provider(ProviderId::new(3), Latency::Never);
+        reactor.register_provider(ProviderId::new(3), Latency::Never);
+        reactor.register_consumer(ConsumerId::new(2), Latency::Immediate);
+        assert_eq!((reactor.consumer_count(), reactor.provider_count()), (1, 3));
+
+        // The re-registered endpoint's profile is live: it times out.
+        reactor.run_wave(wave_of(&[(3, None)]));
+        assert_eq!(reactor.provider_timeouts(ProviderId::new(3)), 1);
+        // Registered-but-idle, unregistered and out-of-range ids read 0.
+        assert_eq!(reactor.provider_timeouts(ProviderId::new(0)), 0);
+        assert_eq!(reactor.provider_timeouts(ProviderId::new(1)), 0);
+        assert_eq!(reactor.provider_timeouts(ProviderId::new(1_000_000)), 0);
     }
 
     #[test]

@@ -78,8 +78,12 @@ impl InteractionMemory {
 
     /// Mean of the remembered observations, or `None` when empty.
     ///
-    /// The running sum is periodically recomputed from scratch to bound
-    /// floating-point drift over very long simulations.
+    /// Reads the running sum, which [`InteractionMemory::push`] updates
+    /// incrementally (add the new value, subtract the evicted one) and
+    /// never recomputes from scratch: over a long run it can drift from
+    /// the exact sum of the window by a few ulps. Recomputing it would
+    /// change the digest of every seeded run, so the incremental value is
+    /// part of the reproducibility contract.
     pub fn mean(&self) -> Option<f64> {
         if self.values.is_empty() {
             None
@@ -106,8 +110,9 @@ impl InteractionMemory {
         self.sum = 0.0;
     }
 
-    /// Recomputes the running sum from the stored values. Called internally
-    /// on a schedule; exposed for tests.
+    /// Recomputes the running sum from the stored values. Nothing in the
+    /// library calls it (see [`InteractionMemory::mean`] for why); it
+    /// exists so tests can compare the incremental sum with the exact one.
     pub fn rebalance(&mut self) {
         self.sum = self.values.iter().sum();
     }

@@ -988,7 +988,7 @@ impl Simulator {
                 let consumer_agent = &self.population.consumers[consumer];
                 let reputation = &self.reputation;
                 let query_ref = &query;
-                let mut wave = IntentionWave::new();
+                let mut wave = IntentionWave::with_capacity(1, candidates.len());
                 // Scenario faults ride in as per-wave latency overrides:
                 // an unresponsive host's endpoints miss the deadline
                 // (`Never`), a delayed host's lag by the configured
@@ -1037,14 +1037,10 @@ impl Simulator {
                 };
 
                 // Assemble the wave's replies through the shared helper
-                // (replies keyed by (query, provider), indifference filled
-                // in for anything that missed the deadline), so the
-                // timeout semantics live in exactly one place.
-                let requests = [(query.clone(), candidates.to_vec())];
-                let gathered = replies.into_candidate_infos(&requests);
-                let infos = &mut self.scratch.infos;
-                infos.clear();
-                infos.extend(gathered.into_iter().flatten());
+                // (indifference filled in for anything that missed the
+                // deadline), so the timeout semantics live in exactly one
+                // place.
+                replies.into_query_infos(query.id, candidates, &mut self.scratch.infos);
             }
         }
         if fabricated > 0 {
