@@ -18,6 +18,7 @@ pub mod active;
 pub mod consumer;
 pub mod departure;
 pub mod population;
+mod preference_history;
 pub mod provider;
 pub mod utilization;
 

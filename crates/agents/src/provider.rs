@@ -9,6 +9,7 @@ use sqlb_types::{
     Utilization, WorkUnits,
 };
 
+use crate::preference_history::PreferenceHistory;
 use crate::utilization::UtilizationWindow;
 
 /// Configuration of a provider agent.
@@ -59,12 +60,20 @@ struct IntentionMemo {
 ///
 /// The agent owns its capacity, its (private) preference per query class,
 /// its utilization window, its outstanding backlog, and two satisfaction
-/// trackers:
+/// histories:
 ///
-/// * an **intention-based** tracker — the public characterization that
-///   matches what the mediator can observe (Figure 4(a));
-/// * a **preference-based** tracker — the private characterization the
+/// * an **intention-based** [`ProviderTracker`] — the public
+///   characterization that matches what the mediator can observe
+///   (Figure 4(a)). It stores 8 bytes per proposal (the mapped intention,
+///   performed flag in the sign bit) and 8 bytes per performed query;
+/// * a **preference-based** history — the private characterization the
 ///   provider uses inside Definition 8 and that Figures 4(b)–(c) report.
+///   The preference it records depends only on the query class, so it
+///   stores a 2-byte class code per proposal (performed flag in the top
+///   bit) and per performed query, and reads bit-identically to a
+///   `ProviderTracker` fed the preferences.
+///
+/// Both allocate their windows lazily, as they fill.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProviderAgent {
     id: ProviderId,
@@ -76,7 +85,7 @@ pub struct ProviderAgent {
     /// Outstanding (queued but not yet completed) work.
     backlog: f64,
     intention_tracker: ProviderTracker,
-    preference_tracker: ProviderTracker,
+    preference_history: PreferenceHistory,
     departed: bool,
     performed_count: u64,
     /// Per-class memo of the last Definition 8 evaluation. A provider's
@@ -92,12 +101,22 @@ pub struct ProviderAgent {
 impl ProviderAgent {
     /// Creates a provider with the given capacity and per-class
     /// preferences (`class_preferences[class.index()]`).
+    ///
+    /// # Panics
+    ///
+    /// If `class_preferences` holds more than 32 767 classes (the
+    /// preference history's class codes are 15 bits wide).
     pub fn new(
         id: ProviderId,
         capacity: Capacity,
         class_preferences: Vec<Preference>,
         config: ProviderConfig,
     ) -> Self {
+        assert!(
+            class_preferences.len() <= PreferenceHistory::MAX_CLASSES,
+            "a provider supports at most {} query classes",
+            PreferenceHistory::MAX_CLASSES
+        );
         ProviderAgent {
             id,
             config,
@@ -113,10 +132,9 @@ impl ProviderAgent {
                 config.performed_memory,
                 config.initial_satisfaction,
             ),
-            preference_tracker: ProviderTracker::new(
+            preference_history: PreferenceHistory::new(
                 config.proposed_memory,
                 config.performed_memory,
-                config.initial_satisfaction,
             ),
             departed: false,
             performed_count: 0,
@@ -176,7 +194,7 @@ impl ProviderAgent {
     /// so a memo hit returns exactly the bits recomputation would.
     pub fn intention_and_utilization(&mut self, query: &Query, now: SimTime) -> (f64, f64) {
         let utilization = self.utilization.utilization(now).value();
-        let satisfaction = self.preference_tracker.satisfaction();
+        let satisfaction = self.preference_satisfaction();
         let slot = query.class().index();
         if let Some(Some(memo)) = self.intention_memo.get(slot) {
             if memo.utilization_bits == utilization.to_bits()
@@ -219,9 +237,8 @@ impl ProviderAgent {
     pub fn record_proposal(&mut self, query: &Query, shown_intention: f64, performed: bool) {
         self.intention_tracker
             .record_proposal(Intention::new(shown_intention), performed);
-        let preference = self.preference_for(query.class());
-        self.preference_tracker
-            .record_proposal(Intention::new(preference.value()), performed);
+        self.preference_history
+            .record(query.class().index(), performed, &self.class_preferences);
     }
 
     /// Accepts an allocated query at `now`: the work enters the backlog and
@@ -293,7 +310,8 @@ impl ProviderAgent {
 
     /// Private, preference-based adequation.
     pub fn preference_adequation(&self) -> f64 {
-        self.preference_tracker.adequation()
+        self.preference_history
+            .adequation(self.config.initial_satisfaction)
     }
 
     /// Private, preference-based satisfaction — the input to Definition 8
@@ -303,21 +321,23 @@ impl ProviderAgent {
     /// Section 3.2.2), so it uses the smoothed Table 2 reading over the
     /// last `proSatSize` treated queries.
     pub fn preference_satisfaction(&self) -> f64 {
-        self.preference_tracker.satisfaction()
+        self.preference_history
+            .satisfaction(self.config.initial_satisfaction)
     }
 
     /// Private, preference-based satisfaction computed strictly as
     /// Definition 5 over the proposal window.
     pub fn strict_preference_satisfaction(&self) -> f64 {
-        self.preference_tracker.satisfaction_strict()
+        self.preference_history
+            .satisfaction_strict(&self.class_preferences, self.config.initial_satisfaction)
     }
 
     /// Private, preference-based allocation satisfaction — the quantity of
     /// Figure 4(c).
     pub fn preference_allocation_satisfaction(&self) -> f64 {
         sqlb_satisfaction::allocation_satisfaction(
-            self.preference_tracker.satisfaction(),
-            self.preference_tracker.adequation(),
+            self.preference_satisfaction(),
+            self.preference_adequation(),
         )
     }
 
@@ -340,7 +360,7 @@ impl ProviderAgent {
     }
 
     /// Discards the provider's satisfaction history, rebuilding both
-    /// trackers at the configured initial satisfaction and clearing the
+    /// histories at the configured initial satisfaction and clearing the
     /// Definition 8 memo (the `Reset` re-join policy). The utilization
     /// window and backlog are *physical* state — work already accepted
     /// does not vanish when bookkeeping resets — so they are kept.
@@ -350,11 +370,8 @@ impl ProviderAgent {
             self.config.performed_memory,
             self.config.initial_satisfaction,
         );
-        self.preference_tracker = ProviderTracker::new(
-            self.config.proposed_memory,
-            self.config.performed_memory,
-            self.config.initial_satisfaction,
-        );
+        self.preference_history =
+            PreferenceHistory::new(self.config.proposed_memory, self.config.performed_memory);
         self.intention_memo = [None; 2];
     }
 }
@@ -516,6 +533,72 @@ mod tests {
             );
             assert_eq!(ut.to_bits(), memoized.utilization(now).value().to_bits());
         }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_private_view_reads_like_a_preference_fed_tracker(
+            k_proposed in 1usize..=64,
+            k_performed in 1usize..=64,
+            preferences in proptest::collection::vec(-1.0f64..=1.0, 0..6),
+            steps in proptest::collection::vec((0u16..6, proptest::bool::ANY, 0u8..40), 0..300),
+        ) {
+            let config = ProviderConfig {
+                proposed_memory: k_proposed,
+                performed_memory: k_performed,
+                ..ProviderConfig::default()
+            };
+            let mut p = ProviderAgent::new(
+                ProviderId::new(0),
+                Capacity::new(100.0),
+                preferences.iter().map(|&v| Preference::new(v)).collect(),
+                config,
+            );
+            let fresh = || ProviderTracker::new(k_proposed, k_performed, config.initial_satisfaction);
+            let mut tracker = fresh();
+            for (i, &(class, performed, action)) in steps.iter().enumerate() {
+                if action == 0 {
+                    p.reset_satisfaction_history();
+                    tracker = fresh();
+                }
+                // Class indices 0–3 and 1 002 / 2 002: with a preference
+                // table of 0 to 5 entries, some land past its end and must
+                // read as preference 0.
+                let class = match class {
+                    0 => QueryClass::Light,
+                    1 => QueryClass::Heavy,
+                    2 => QueryClass::Custom(0),
+                    3 => QueryClass::Custom(1),
+                    tag => QueryClass::Custom(tag * 1000 - 3000),
+                };
+                p.record_proposal(&query(i as u32, class), 0.3, performed);
+                let preference = preferences.get(class.index()).copied().unwrap_or(0.0);
+                tracker.record_proposal(Intention::new(preference), performed);
+                let pairs = [
+                    (p.preference_adequation(), tracker.adequation()),
+                    (p.preference_satisfaction(), tracker.satisfaction()),
+                    (p.strict_preference_satisfaction(), tracker.satisfaction_strict()),
+                    (
+                        p.preference_allocation_satisfaction(),
+                        tracker.allocation_satisfaction(),
+                    ),
+                ];
+                for (agent, expected) in pairs {
+                    proptest::prop_assert_eq!(agent.to_bits(), expected.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32767 query classes")]
+    fn oversized_preference_tables_are_rejected() {
+        ProviderAgent::new(
+            ProviderId::new(0),
+            Capacity::new(1.0),
+            vec![Preference::new(0.0); 1 << 15],
+            ProviderConfig::default(),
+        );
     }
 
     #[test]

@@ -33,13 +33,14 @@
 //!
 //! * [`provider::ProviderTracker::satisfaction_strict`] — the literal
 //!   Definition 5 (0 on an empty performed subset, the initial value before
-//!   any proposal). This is the value SQLB's Equation 6 feedback and the
-//!   departure rules operate on: a provider whose performed subset dries up
-//!   is exactly the punished/starved provider the framework must react to.
+//!   any proposal). The departure rules operate on it: a provider whose
+//!   performed subset dries up is exactly the punished/starved provider
+//!   that may leave.
 //! * [`provider::ProviderTracker::satisfaction`] — a smoothed variant over
 //!   a dedicated memory of the last `k` *performed* queries (Table 2's
-//!   `proSatSize`, "k last treated queries"), useful when a long-run
-//!   average is wanted rather than the instantaneous Definition 5 signal.
+//!   `proSatSize`, "k last treated queries"). SQLB's Equation 6 feedback
+//!   scores with this reading (the mediator's `provider_satisfaction`), so
+//!   a single empty proposal window cannot swing `ω` to an extreme.
 
 #![warn(missing_docs)]
 
@@ -50,7 +51,7 @@ pub mod provider;
 pub use consumer::{
     consumer_query_adequation, consumer_query_outcome, consumer_query_satisfaction, ConsumerTracker,
 };
-pub use memory::InteractionMemory;
+pub use memory::{InteractionMemory, WindowRing};
 pub use provider::ProviderTracker;
 
 /// Computes an allocation satisfaction `δas = δs / δa` (Definitions 3

@@ -3,8 +3,11 @@
 //! The paper's characteristics are computed "over the k last interactions
 //! with the system" (Section 3); `k` "may be different for each participant
 //! depending on its storage capacity, or strategy" (footnote 3).
-//! [`InteractionMemory`] is the fixed-capacity ring buffer backing every
-//! such window.
+//! [`InteractionMemory`] is the fixed-capacity window of `f64`
+//! observations with a running mean; [`WindowRing`] is the bare ring of
+//! compact entries the provider windows store (a tagged `f64` per proposal
+//! in [`crate::ProviderTracker`], a `u16` class code per proposal in the
+//! provider agent's private preference history).
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -118,6 +121,69 @@ impl InteractionMemory {
     }
 }
 
+/// A fixed-capacity FIFO window of `Copy` entries stored in one `Vec`.
+///
+/// The vector grows with the fill (an idle provider costs no window
+/// memory) and, once it holds `capacity` entries, becomes a ring: `head`
+/// is the oldest entry and a push overwrites it in place, returning the
+/// evicted entry so the caller can update its running sums. Iteration is
+/// oldest first, which is insertion order while filling.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct WindowRing<T> {
+    entries: Vec<T>,
+    /// Index of the oldest entry once `entries` is at capacity (0 while
+    /// still filling).
+    head: usize,
+    /// Window bound (eviction keys on this, not on the vector's
+    /// allocation).
+    capacity: usize,
+}
+
+impl<T: Copy> WindowRing<T> {
+    /// Creates an empty window remembering at most `capacity` entries.
+    /// Allocates nothing. Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "window capacity must be positive");
+        WindowRing {
+            entries: Vec::new(),
+            head: 0,
+            capacity,
+        }
+    }
+
+    /// Appends `entry`, evicting and returning the oldest entry if the
+    /// window is full.
+    #[inline]
+    pub fn push(&mut self, entry: T) -> Option<T> {
+        if self.entries.len() < self.capacity {
+            self.entries.push(entry);
+            return None;
+        }
+        let evicted = std::mem::replace(&mut self.entries[self.head], entry);
+        self.head += 1;
+        if self.head == self.capacity {
+            self.head = 0;
+        }
+        Some(evicted)
+    }
+
+    /// Number of remembered entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the window holds no entry yet.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The remembered entries, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        let (wrapped, oldest) = self.entries.split_at(self.head);
+        oldest.iter().chain(wrapped).copied()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,7 +252,43 @@ mod tests {
         assert!((before - after).abs() < 1e-9);
     }
 
+    #[test]
+    #[should_panic(expected = "capacity must be positive")]
+    fn zero_capacity_ring_is_rejected() {
+        WindowRing::<u16>::new(0);
+    }
+
+    #[test]
+    fn ring_allocates_lazily_and_evicts_oldest_first() {
+        let mut r = WindowRing::new(3);
+        assert!(r.is_empty());
+        assert_eq!(r.entries.capacity(), 0, "an empty window owns no heap");
+        assert_eq!(r.push(1u16), None);
+        assert_eq!(r.push(2), None);
+        assert_eq!(r.push(3), None);
+        assert_eq!(r.push(4), Some(1));
+        assert_eq!(r.push(5), Some(2));
+        assert_eq!(r.len(), 3);
+        assert_eq!(r.iter().collect::<Vec<_>>(), vec![3, 4, 5]);
+    }
+
     proptest! {
+        #[test]
+        fn prop_ring_matches_the_last_k_pushes(
+            capacity in 1usize..=64,
+            values in proptest::collection::vec(0u16..1000, 0..256),
+        ) {
+            let mut r = WindowRing::new(capacity);
+            for (i, &v) in values.iter().enumerate() {
+                let evicted = r.push(v);
+                let expected = i.checked_sub(capacity).map(|j| values[j]);
+                prop_assert_eq!(evicted, expected);
+            }
+            let window = &values[values.len().saturating_sub(capacity)..];
+            prop_assert_eq!(r.iter().collect::<Vec<_>>(), window.to_vec());
+            prop_assert_eq!(r.len(), window.len());
+        }
+
         #[test]
         fn prop_len_never_exceeds_capacity(
             capacity in 1usize..64,

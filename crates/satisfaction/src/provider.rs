@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 use sqlb_types::Intention;
 
 use crate::allocation_satisfaction;
-use crate::memory::InteractionMemory;
+use crate::memory::{InteractionMemory, WindowRing};
 
 /// Tracks a provider's characteristics.
 ///
@@ -25,27 +25,26 @@ use crate::memory::InteractionMemory;
 /// intentions for the public view or preferences for the provider's private
 /// view (the private view is what Definition 8 uses to balance preferences
 /// against utilization).
+///
+/// # Layout
+///
+/// Each proposal costs 8 bytes in the proposal window plus, when
+/// performed, 8 bytes in the performed window. A proposal entry is the
+/// mapped value with the performed flag in its sign bit: mapped values are
+/// clamped into `[0, 1]` and `-0.0` is canonicalized to `+0.0`, so the sign
+/// bit of a stored value is otherwise always clear. Both windows allocate
+/// lazily, so a provider that was never proposed anything owns no window
+/// memory.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProviderTracker {
-    /// Shown values with a performed flag for every proposed query
-    /// (performed or not), bounded by the proposed window. One ring
-    /// buffer backs both Definition 4 (adequation, through the running
-    /// `proposed_sum`) and the strict Definition 5 variant — recording a
-    /// proposal used to maintain a second, value-only window with the
-    /// same contents, which doubled the deque traffic on the allocation
-    /// hot path (three tracker updates per candidate per query). Once
-    /// full the vector becomes a ring: `proposed_head` is the oldest
-    /// entry, and eviction overwrites in place.
-    proposed_flags: Vec<(f64, bool)>,
-    /// Index of the oldest entry once `proposed_flags` is at capacity
-    /// (0 while still filling, so insertion order equals slice order).
-    proposed_head: usize,
-    /// Window bound of `proposed_flags` (eviction keys on this, not on
-    /// the vector's allocation, which grows lazily with the fill).
-    proposed_capacity: usize,
-    /// Running sum of the values in `proposed_flags`, maintained with the
-    /// same subtract-then-add order the dedicated memory used, so
-    /// adequation stays bit-identical.
+    /// Tagged mapped values of the `k_proposed` last proposals (performed
+    /// or not): `-v` for a performed query, `+v` otherwise. One window
+    /// backs both Definition 4 (adequation, through `proposed_sum`) and
+    /// the strict Definition 5 variant.
+    proposed: WindowRing<f64>,
+    /// Running sum of the (untagged) values in `proposed`, maintained
+    /// subtract-then-add on eviction, so adequation is bit-identical to a
+    /// dedicated evict-and-push memory.
     proposed_sum: f64,
     /// Shown values for performed queries only (Table 2 semantics).
     performed: InteractionMemory,
@@ -57,16 +56,11 @@ pub struct ProviderTracker {
 impl ProviderTracker {
     /// Creates a tracker with a `k_proposed`-query adequation window and a
     /// `k_performed`-query satisfaction window, reporting `initial` until
-    /// observations exist.
+    /// observations exist. Allocates nothing until the first proposal.
     pub fn new(k_proposed: usize, k_performed: usize, initial: f64) -> Self {
         assert!(k_proposed > 0, "proposed window capacity must be positive");
         ProviderTracker {
-            // Grows with the actual fill, like the interaction memory:
-            // eviction keys on `proposed_capacity`, so starting
-            // unallocated changes nothing but the idle footprint.
-            proposed_flags: Vec::new(),
-            proposed_head: 0,
-            proposed_capacity: k_proposed,
+            proposed: WindowRing::new(k_proposed),
             proposed_sum: 0.0,
             performed: InteractionMemory::new(k_performed),
             initial,
@@ -96,21 +90,16 @@ impl ProviderTracker {
     /// Records a proposal with an already-mapped `[0, 1]` value. Used when
     /// the caller applies its own mapping (e.g. preference-based private
     /// tracking).
+    ///
+    /// The value is clamped into `[0, 1]`, and `-0.0` is stored as `+0.0`
+    /// (no reading can tell them apart: every sum starts at `+0.0`). A NaN
+    /// is stored as a positive NaN, so it never reads as performed when it
+    /// was not; it then poisons the sums it enters, as it always did.
     pub fn record_mapped(&mut self, mapped: f64, performed: bool) {
-        let mapped = mapped.clamp(0.0, 1.0);
-        if self.proposed_flags.len() == self.proposed_capacity {
-            // Steady state: overwrite the oldest entry in place. Same
-            // subtract-then-add order as the evict-and-push it replaces,
-            // so adequation stays bit-identical.
-            let slot = &mut self.proposed_flags[self.proposed_head];
-            self.proposed_sum -= slot.0;
-            *slot = (mapped, performed);
-            self.proposed_head += 1;
-            if self.proposed_head == self.proposed_capacity {
-                self.proposed_head = 0;
-            }
-        } else {
-            self.proposed_flags.push((mapped, performed));
+        let mapped = mapped.clamp(0.0, 1.0).abs();
+        let tagged = if performed { -mapped } else { mapped };
+        if let Some(evicted) = self.proposed.push(tagged) {
+            self.proposed_sum -= evicted.abs();
         }
         self.proposed_sum += mapped;
         self.proposed_total += 1;
@@ -124,16 +113,19 @@ impl ProviderTracker {
     /// initial value until the provider has been proposed at least one
     /// query.
     pub fn adequation(&self) -> f64 {
-        if self.proposed_flags.is_empty() {
+        if self.proposed.is_empty() {
             self.initial
         } else {
-            self.proposed_sum / self.proposed_flags.len() as f64
+            self.proposed_sum / self.proposed.len() as f64
         }
     }
 
     /// Provider satisfaction `δs(p)` over the last `k_performed` performed
     /// queries (Table 2 semantics). Returns the configured initial value
     /// until the provider has performed at least one query.
+    ///
+    /// This smoothed reading is the one Equation 6's `ω` uses (through the
+    /// mediator's tracker).
     pub fn satisfaction(&self) -> f64 {
         self.performed.mean_or(self.initial)
     }
@@ -144,25 +136,19 @@ impl ProviderTracker {
     /// reports the configured initial value (Table 2's
     /// `iniSatisfaction = 0.5`).
     ///
-    /// This is the value the SQLB feedback loop relies on: a provider whose
-    /// strict satisfaction collapses to 0 immediately receives a large `ω`
-    /// weight in Equation 6, which is what "reduces starvation" in the
-    /// paper's words.
+    /// The departure rules read this value: a provider whose performed
+    /// subset dries up reports 0 at once. Equation 6 does not; it uses the
+    /// smoothed [`ProviderTracker::satisfaction`].
     pub fn satisfaction_strict(&self) -> f64 {
-        if self.proposed_flags.is_empty() {
+        if self.proposed.is_empty() {
             return self.initial;
         }
-        // One pass over the window, no intermediate vector: the additions
-        // happen oldest-first ([head..] then [..head], which is insertion
-        // order while filling since head stays 0), the same order as a
-        // filter-then-sum, so the result is bit-identical while the
-        // (sample- and assessment-path) callers stop allocating per read.
-        let (wrapped, oldest) = self.proposed_flags.split_at(self.proposed_head);
+        // One pass, oldest first (the addition order the digests pin).
         let mut sum = 0.0;
         let mut count = 0usize;
-        for &(v, performed) in oldest.iter().chain(wrapped) {
-            if performed {
-                sum += v;
+        for v in self.proposed.iter() {
+            if v.is_sign_negative() {
+                sum += v.abs();
                 count += 1;
             }
         }
@@ -191,7 +177,7 @@ impl ProviderTracker {
 
     /// Number of proposals currently remembered.
     pub fn proposal_window_len(&self) -> usize {
-        self.proposed_flags.len()
+        self.proposed.len()
     }
 
     /// Number of performed queries currently remembered.
@@ -287,7 +273,167 @@ mod tests {
         assert_eq!(t.adequation(), 0.5);
     }
 
+    /// The tracker as it was before the tagged layout: a 16-byte
+    /// `(value, performed)` pair per proposal in a `Vec` ring. The compact
+    /// tracker must read exactly like it.
+    struct PairTracker {
+        proposed_flags: Vec<(f64, bool)>,
+        proposed_head: usize,
+        proposed_capacity: usize,
+        proposed_sum: f64,
+        performed: InteractionMemory,
+        initial: f64,
+        proposed_total: u64,
+        performed_total: u64,
+    }
+
+    impl PairTracker {
+        fn new(k_proposed: usize, k_performed: usize, initial: f64) -> Self {
+            PairTracker {
+                proposed_flags: Vec::new(),
+                proposed_head: 0,
+                proposed_capacity: k_proposed,
+                proposed_sum: 0.0,
+                performed: InteractionMemory::new(k_performed),
+                initial,
+                proposed_total: 0,
+                performed_total: 0,
+            }
+        }
+
+        fn record_mapped(&mut self, mapped: f64, performed: bool) {
+            let mapped = mapped.clamp(0.0, 1.0);
+            if self.proposed_flags.len() == self.proposed_capacity {
+                let slot = &mut self.proposed_flags[self.proposed_head];
+                self.proposed_sum -= slot.0;
+                *slot = (mapped, performed);
+                self.proposed_head += 1;
+                if self.proposed_head == self.proposed_capacity {
+                    self.proposed_head = 0;
+                }
+            } else {
+                self.proposed_flags.push((mapped, performed));
+            }
+            self.proposed_sum += mapped;
+            self.proposed_total += 1;
+            if performed {
+                self.performed.push(mapped);
+                self.performed_total += 1;
+            }
+        }
+
+        fn adequation(&self) -> f64 {
+            if self.proposed_flags.is_empty() {
+                self.initial
+            } else {
+                self.proposed_sum / self.proposed_flags.len() as f64
+            }
+        }
+
+        fn satisfaction_strict(&self) -> f64 {
+            if self.proposed_flags.is_empty() {
+                return self.initial;
+            }
+            let (wrapped, oldest) = self.proposed_flags.split_at(self.proposed_head);
+            let mut sum = 0.0;
+            let mut count = 0usize;
+            for &(v, performed) in oldest.iter().chain(wrapped) {
+                if performed {
+                    sum += v;
+                    count += 1;
+                }
+            }
+            if count == 0 {
+                0.0
+            } else {
+                sum / count as f64
+            }
+        }
+    }
+
+    fn assert_reads_alike(t: &ProviderTracker, pair: &PairTracker) -> Result<(), TestCaseError> {
+        prop_assert_eq!(t.adequation().to_bits(), pair.adequation().to_bits());
+        prop_assert_eq!(
+            t.satisfaction().to_bits(),
+            pair.performed.mean_or(pair.initial).to_bits()
+        );
+        prop_assert_eq!(
+            t.satisfaction_strict().to_bits(),
+            pair.satisfaction_strict().to_bits()
+        );
+        prop_assert_eq!(t.proposed_queries(), pair.proposed_total);
+        prop_assert_eq!(t.performed_queries(), pair.performed_total);
+        prop_assert_eq!(t.proposal_window_len(), pair.proposed_flags.len());
+        prop_assert_eq!(t.performed_window_len(), pair.performed.len());
+        Ok(())
+    }
+
+    #[test]
+    fn negative_zero_is_stored_as_positive_zero() {
+        let mut t = ProviderTracker::new(4, 4, 0.5);
+        t.record_mapped(-0.0, false);
+        assert_eq!(
+            t.proposed.iter().next().unwrap().to_bits(),
+            0.0f64.to_bits()
+        );
+        assert_eq!(t.satisfaction_strict().to_bits(), 0.0f64.to_bits());
+        assert_eq!(t.adequation().to_bits(), 0.0f64.to_bits());
+        assert_eq!(t.performed_window_len(), 0);
+        t.record_mapped(1.0, true);
+        // Misread as performed, the -0.0 would pull this down to 0.5.
+        assert_eq!(t.satisfaction_strict(), 1.0);
+        assert_eq!(t.adequation(), 0.5);
+    }
+
+    #[test]
+    fn nan_poisons_its_sums_but_not_the_performed_flag() {
+        let mut t = ProviderTracker::new(2, 2, 0.5);
+        t.record_mapped(1.0, true);
+        // A NaN with its sign bit set, recorded as not performed, must
+        // not read as a performed entry.
+        t.record_mapped(-f64::NAN, false);
+        assert_eq!(t.satisfaction_strict(), 1.0);
+        assert_eq!(t.satisfaction(), 1.0);
+        assert!(t.adequation().is_nan());
+        assert_eq!((t.proposed_queries(), t.performed_queries()), (2, 1));
+        // A performed NaN enters both windows.
+        t.record_mapped(f64::NAN, true);
+        assert!(t.satisfaction_strict().is_nan());
+        assert!(t.satisfaction().is_nan());
+        assert_eq!((t.proposed_queries(), t.performed_queries()), (3, 2));
+        // The running adequation sum never recovers from a NaN, exactly as
+        // with the untagged layout.
+        t.record_mapped(0.5, false);
+        t.record_mapped(0.5, false);
+        assert!(t.adequation().is_nan());
+        assert_eq!(t.satisfaction_strict(), 0.0);
+    }
+
     proptest! {
+        #[test]
+        fn prop_tagged_window_reads_bit_for_bit_like_pairs(
+            k_proposed in 1usize..=64,
+            k_performed in 1usize..=64,
+            entries in proptest::collection::vec((-0.25f64..=1.25, proptest::bool::ANY, 0u8..4), 0..400),
+        ) {
+            let mut t = ProviderTracker::new(k_proposed, k_performed, 0.5);
+            let mut pair = PairTracker::new(k_proposed, k_performed, 0.5);
+            assert_reads_alike(&t, &pair)?;
+            for &(v, performed, shape) in &entries {
+                // Mix exact window edges (0 and 1) and `-0.0` into the
+                // random values, which also reach outside `[0, 1]`.
+                let v = match shape {
+                    0 => 0.0,
+                    1 => 1.0,
+                    2 => -0.0,
+                    _ => v,
+                };
+                t.record_mapped(v, performed);
+                pair.record_mapped(v, performed);
+                assert_reads_alike(&t, &pair)?;
+            }
+        }
+
         #[test]
         fn prop_outputs_in_unit_interval(
             entries in proptest::collection::vec((-1.0f64..=1.0, proptest::bool::ANY), 0..200),
