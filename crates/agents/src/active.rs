@@ -13,11 +13,10 @@
 //! as the filter-and-collect it replaces — ascending id order of the
 //! surviving participants, which removal by binary search preserves.
 
-use serde::{Deserialize, Serialize};
 use sqlb_types::StableId;
 
 /// An ordered (ascending id) set of still-active participant identifiers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActiveSet<K> {
     ids: Vec<K>,
 }

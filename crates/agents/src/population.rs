@@ -22,7 +22,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use sqlb_types::{
     Capacity, ConsumerId, ParticipantTable, Preference, ProviderId, QueryClass, SqlbError,
 };
@@ -32,7 +31,7 @@ use crate::consumer::{ConsumerAgent, ConsumerConfig};
 use crate::provider::{ProviderAgent, ProviderConfig};
 
 /// How interesting a provider is to consumers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterestClass {
     /// Consumers have high interest in this provider.
     High,
@@ -64,7 +63,7 @@ impl InterestClass {
 }
 
 /// How adapted a provider is to the incoming queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AdaptationClass {
     /// The provider likes most incoming queries.
     High,
@@ -96,7 +95,7 @@ impl AdaptationClass {
 }
 
 /// The capacity class of a provider.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CapacityClass {
     /// 30 % of providers; 100 units/s.
     High,
@@ -132,7 +131,7 @@ impl CapacityClass {
 }
 
 /// The class profile of one provider.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProviderProfile {
     /// How interesting the provider is to consumers.
     pub interest: InterestClass,
@@ -143,7 +142,7 @@ pub struct ProviderProfile {
 }
 
 /// Configuration of a generated population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PopulationConfig {
     /// Number of consumers (`nbConsumers`, Table 2: 200).
     pub consumers: u32,
@@ -168,7 +167,6 @@ pub struct PopulationConfig {
     /// memory wall. The procedural draw uses a different stream than the
     /// dense one, so the two modes produce different (but each internally
     /// deterministic) populations for the same seed.
-    #[serde(default)]
     pub procedural_preferences: bool,
 }
 

@@ -1,6 +1,5 @@
 //! The provider's private, preference-based satisfaction history.
 
-use serde::{Deserialize, Serialize};
 use sqlb_satisfaction::WindowRing;
 use sqlb_types::Intention;
 
@@ -24,7 +23,7 @@ const PERFORMED: u16 = 1 << 15;
 /// the table, which reads as preference 0 (the agent's neutral reading of
 /// unknown classes). The table may therefore hold at most
 /// [`PreferenceHistory::MAX_CLASSES`] classes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct PreferenceHistory {
     /// Class codes of the last proposals, `PERFORMED` set when performed.
     proposed: WindowRing<u16>,

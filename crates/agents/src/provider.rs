@@ -1,6 +1,5 @@
 //! The provider agent.
 
-use serde::{Deserialize, Serialize};
 use sqlb_core::allocation::Bid;
 use sqlb_core::intention::{provider_intention, IntentionParams};
 use sqlb_satisfaction::ProviderTracker;
@@ -13,7 +12,7 @@ use crate::preference_history::PreferenceHistory;
 use crate::utilization::UtilizationWindow;
 
 /// Configuration of a provider agent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProviderConfig {
     /// The `ε` constant of Definition 8.
     pub params: IntentionParams,
@@ -49,7 +48,7 @@ impl Default for ProviderConfig {
 /// one query class at exact (bit-level) utilization and satisfaction
 /// inputs. The class preference and `ε` never change after construction,
 /// so these two inputs fully determine the intention.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct IntentionMemo {
     utilization_bits: u64,
     satisfaction_bits: u64,
@@ -74,7 +73,7 @@ struct IntentionMemo {
 ///   `ProviderTracker` fed the preferences.
 ///
 /// Both allocate their windows lazily, as they fill.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProviderAgent {
     id: ProviderId,
     config: ProviderConfig,

@@ -15,12 +15,11 @@
 //! Ut(p) = assigned_work(now − window, now) / (capacity × window)
 //! ```
 
-use serde::{Deserialize, Serialize};
 use sqlb_types::{Capacity, SimDuration, SimTime, Utilization, WorkUnits};
 use std::collections::VecDeque;
 
 /// Sliding-window utilization estimator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UtilizationWindow {
     capacity: Capacity,
     window: SimDuration,

@@ -4,8 +4,8 @@
 //! mediation round as the number of participant endpoints grows into the
 //! tens of thousands? The asynchronous reactor tracks an endpoint as a
 //! slab entry polled by one event loop, so it is measured at 10 000 and
-//! 50 000 endpoints; the legacy thread-per-participant wave — one OS
-//! thread spawned per participant request — is measured at 1 000
+//! 50 000 endpoints; the scoped-thread wave (`run_wave_threaded`) — one
+//! OS thread spawned per participant request — is measured at 1 000
 //! endpoints for contrast (spawning 10 000+ threads per round is exactly
 //! the cost the reactor exists to avoid).
 //!

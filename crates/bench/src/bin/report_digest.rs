@@ -12,7 +12,7 @@
 //!   previous commit and on the working tree and diff the output;
 //! * **"all mediation backends must agree"** — run it with `--backends`:
 //!   every configuration of the matrix is executed on the inline path,
-//!   the legacy threaded runtime and the asynchronous reactor, and the
+//!   the scoped-thread backend and the asynchronous reactor, and the
 //!   process exits non-zero if any digest disagrees.
 //!
 //! ```text

@@ -12,13 +12,11 @@
 //! `[-1, 1]` (via [`sqlb_types::Intention::new`]) when they are recorded
 //! into the Section 3 satisfaction model.
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's usual value for the `ε` parameter of Definitions 7–9.
 pub const DEFAULT_EPSILON: f64 = 1.0;
 
 /// Parameters shared by the intention functions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntentionParams {
     /// The `ε > 0` constant of Definitions 7–9 (usually 1).
     pub epsilon: f64,

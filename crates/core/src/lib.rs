@@ -33,7 +33,6 @@ pub mod allocation;
 pub mod intention;
 pub mod mediator;
 pub mod mediator_state;
-pub mod module;
 pub mod scoring;
 pub mod sqlb;
 
@@ -43,7 +42,6 @@ pub use intention::{
 };
 pub use mediator::{ConsumerDigestEntry, Mediator, SatisfactionDigest};
 pub use mediator_state::MediatorState;
-pub use module::{IntentionSource, QueryAllocationModule};
 pub use scoring::{
     omega, provider_score, rank_candidates, rank_candidates_in_place, select_top_k, RankedProvider,
 };

@@ -17,7 +17,6 @@
 //! consumer readings with their observation weights, and every peer blends
 //! them into its own view.
 
-use serde::{Deserialize, Serialize};
 use sqlb_obs::{Counter, Obs};
 use sqlb_types::{ConsumerId, MediatorId, Query};
 
@@ -39,7 +38,7 @@ struct MediatorMetrics {
 }
 
 /// One consumer's satisfaction reading inside a [`SatisfactionDigest`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsumerDigestEntry {
     /// The consumer the reading is about.
     pub consumer: ConsumerId,
@@ -52,7 +51,7 @@ pub struct ConsumerDigestEntry {
 
 /// A mediator's shareable view of consumer satisfaction, exchanged during
 /// periodic synchronization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SatisfactionDigest {
     /// The mediator that produced the digest.
     pub mediator: MediatorId,
@@ -288,6 +287,38 @@ mod tests {
         assert_eq!(m.state().allocations(), 1);
         assert_eq!(m.method_name(), "SQLB");
         assert_eq!(m.id(), MediatorId::new(0));
+    }
+
+    #[test]
+    fn a_silent_provider_read_as_indifferent_outranks_an_unwilling_one() {
+        // Provider 1 never answered, so its intention was read as 0. Both
+        // candidates fall in the negative-intention branch, but p1's
+        // magnitude is smaller, so it still ranks first.
+        let mut m = mediator(0);
+        let allocation = m.allocate(&query(2, 0), &candidates(&[(0, 0.9, -0.9), (1, 0.9, 0.0)]));
+        assert_eq!(allocation.selected, vec![ProviderId::new(1)]);
+    }
+
+    #[test]
+    fn state_accumulates_over_multiple_allocations() {
+        // Both providers want the query and the consumer is indifferent
+        // between them: the first allocation goes to p0 (deterministic
+        // tie-break), after which Equation 6 favours the less satisfied
+        // provider, so queries alternate instead of starving p1.
+        let mut m = mediator(0);
+        let infos = candidates(&[(0, 0.5, 0.7), (1, 0.5, 0.7)]);
+        let first = m.allocate(&query(0, 0), &infos);
+        assert_eq!(first.selected, vec![ProviderId::new(0)]);
+        let mut wins = [0u32, 0u32];
+        for i in 1..200 {
+            let allocation = m.allocate(&query(i, 0), &infos);
+            wins[allocation.selected[0].index()] += 1;
+        }
+        assert_eq!(m.state().allocations(), 200);
+        assert!(
+            wins[0] > 0 && wins[1] > 0,
+            "satisfaction balancing should spread queries across both providers, got {wins:?}"
+        );
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! intention-based [`ConsumerTracker`] per consumer and an intention-based
 //! [`ProviderTracker`] per provider, updated after every allocation.
 
-use serde::{Deserialize, Serialize};
 // Re-exported so layers that carry trackers across mediators (the shard
 // router's migration and churn parking paths) can name the type without a
 // direct dependency on the satisfaction crate.
@@ -17,8 +16,7 @@ use crate::allocation::{Allocation, CandidateInfo, MediatorView, SelectionSet};
 
 /// Reusable buffers for [`MediatorState::record_allocation`], so recording
 /// an allocation performs no heap allocation in steady state. Scratch
-/// state is transient (rebuilt from scratch on every call), so it is
-/// excluded from serialization and comparisons.
+/// state is transient (rebuilt from scratch on every call).
 #[derive(Debug, Clone, Default)]
 struct RecordScratch {
     intentions: Vec<Intention>,
@@ -27,7 +25,7 @@ struct RecordScratch {
 }
 
 /// Configuration of the mediator-side trackers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediatorStateConfig {
     /// Window size for consumer trackers (`conSatSize`, Table 2: 200).
     pub consumer_window: usize,
@@ -54,7 +52,7 @@ impl Default for MediatorStateConfig {
 
 /// A consumer's satisfaction as reported by *other* mediators, absorbed
 /// during periodic view synchronization (see `crate::mediator`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RemoteConsumerView {
     /// Weighted sum of the remote satisfaction readings.
     weighted_satisfaction: f64,
@@ -64,7 +62,7 @@ pub struct RemoteConsumerView {
 
 /// The mediator's view of every participant's intention-based
 /// characteristics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MediatorState {
     config: MediatorStateConfig,
     consumers: StridedTable<ConsumerId, ConsumerTracker>,

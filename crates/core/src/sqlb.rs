@@ -1,6 +1,5 @@
 //! The SQLB allocation method (Section 5.3–5.4).
 
-use serde::{Deserialize, Serialize};
 use sqlb_types::Query;
 
 use crate::allocation::{select_best, Allocation, AllocationMethod, CandidateInfo, MediatorView};
@@ -8,7 +7,7 @@ use crate::intention::IntentionParams;
 use crate::scoring::{best_candidate_lazy, omega, provider_score, score_batch, RankedProvider};
 
 /// How the consumer/provider trade-off weight `ω` is obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum OmegaPolicy {
     /// Equation 6: `ω = ((δs(c) − δs(p)) + 1) / 2`, computed per candidate
     /// from the mediator's intention-based satisfaction view. This is the
@@ -22,7 +21,7 @@ pub enum OmegaPolicy {
 }
 
 /// Configuration of the SQLB allocator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SqlbConfig {
     /// The `ε` constant used by the scoring function (Definition 9).
     pub params: IntentionParams,

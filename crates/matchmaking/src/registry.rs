@@ -1,12 +1,11 @@
 //! Provider capability declarations.
 
-use serde::{Deserialize, Serialize};
 use sqlb_types::{ProviderId, QueryDescription};
 use std::collections::BTreeMap;
 
 /// A capability a provider declares to the mediator: a topic it can handle
 /// and the attributes it supports for that topic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Capability {
     /// Topic handled by the provider (hierarchical, `/`-separated).
     pub topic: String,
@@ -50,7 +49,7 @@ impl Capability {
 }
 
 /// The mediator-side registry of provider capabilities.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CapabilityRegistry {
     capabilities: BTreeMap<ProviderId, Vec<Capability>>,
 }

@@ -5,11 +5,14 @@
 //! The paper's query allocation algorithm *forks* a request for the
 //! consumer's intentions and, in parallel, a request to every candidate
 //! provider for its intention, then *waits until* the intention vectors are
-//! computed *or a timeout* elapses (Algorithm 1, lines 2–5). The
-//! deterministic, in-process realization of that algorithm lives in
-//! `sqlb-core::module`; this crate provides the concurrent realization used
-//! when consumers and providers are real, independently-running agents:
+//! computed *or a timeout* elapses (Algorithm 1, lines 2–5). The simulator
+//! engine (`sqlb-sim`) realizes that gather step with direct calls on its
+//! inline backend; this crate provides the realizations used when
+//! consumers and providers are independently-running endpoints:
 //!
+//! * [`runtime`] — the [`ConsumerEndpoint`] / [`ProviderEndpoint`]
+//!   traits participants implement, and the [`RuntimeConfig`] (timeout,
+//!   bids) a mediation runs under;
 //! * [`protocol`] — the message types exchanged between the mediator and
 //!   the participants (intention requests/replies, bid requests, allocation
 //!   notices, connection hello/goodbye), their length-prefixed wire framing
@@ -19,14 +22,12 @@
 //! * [`reactor`] — the asynchronous mediation reactor: participant
 //!   endpoints as polled state machines driven by a single event loop with
 //!   a readiness queue, a timer heap and per-endpoint deadline tracking,
-//!   scaling one host to tens of thousands of endpoints. Its batched
+//!   scaling one host to tens of thousands of endpoints. Its owned-endpoint
+//!   facade [`AsyncMediator`] gathers, allocates and notifies; its batched
 //!   [`AsyncMediator::gather_batch`] / [`AsyncMediator::mediate_batch`]
-//!   are the native entry points;
-//! * [`runtime`] — the legacy thread-per-participant runtime built on
-//!   crossbeam channels, kept as the comparison backend: the mediator
-//!   broadcasts requests, gathers replies until the deadline, treats
-//!   missing replies as indifference, and notifies every candidate of the
-//!   mediation result.
+//!   are the native entry points. [`run_wave_threaded`] runs the same
+//!   waves on scoped OS threads with a real deadline, as the comparison
+//!   backend.
 
 #![deny(missing_docs)]
 
@@ -43,4 +44,4 @@ pub use reactor::{
     run_wave_threaded, AsyncMediator, IntentionWave, Latency, ProviderAnswer, Reactor, RoundStats,
     WaveReplies,
 };
-pub use runtime::{ConsumerEndpoint, MediationRuntime, ProviderEndpoint, RuntimeConfig};
+pub use runtime::{ConsumerEndpoint, ProviderEndpoint, RuntimeConfig};

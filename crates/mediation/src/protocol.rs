@@ -69,7 +69,6 @@
 //! them can be decoded back-to-back; [`FrameAssembler`] reassembles them
 //! from the arbitrary chunk boundaries a stream transport delivers.
 
-use serde::{Deserialize, Serialize};
 use sqlb_core::allocation::Bid;
 use sqlb_obs::{HistogramSummary, ObsSnapshot};
 use sqlb_types::{
@@ -85,7 +84,7 @@ use sqlb_types::{
 pub const MAX_FRAME_PAYLOAD: usize = 16 * 1024 * 1024;
 
 /// Messages sent by the mediator to participants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MediatorMessage {
     /// Ask the consumer for its intentions towards the candidate providers
     /// of one of its queries (Algorithm 1, line 2).
@@ -169,7 +168,7 @@ pub enum MediatorMessage {
 }
 
 /// Replies sent by participants to the mediator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ParticipantReply {
     /// The consumer's intentions towards the candidate providers.
     ConsumerIntentions {

@@ -1,10 +1,9 @@
 //! The asynchronous mediation reactor.
 //!
-//! The thread-per-participant model of [`crate::runtime`] keeps one OS
-//! thread alive per registered endpoint, which caps a mediation host at a
-//! few thousand participants. The reactor replaces that model: participant
-//! endpoints become *polled state machines* driven by a single event loop,
-//! so one host can run tens of thousands of endpoints in one thread.
+//! A thread per registered endpoint caps a mediation host at a few
+//! thousand participants. In the reactor, participant endpoints are
+//! *polled state machines* driven by a single event loop instead, so one
+//! host can run tens of thousands of endpoints in one thread.
 //!
 //! # How a wave runs
 //!
@@ -37,20 +36,20 @@
 //! 200 ms timeout completes in microseconds of wall time and the
 //! timeout-to-indifference transition happens at *exactly* the configured
 //! deadline, reproducibly. Wall-clock latency modelling stays available
-//! through the threaded backend ([`run_wave_threaded`]), which interprets
-//! the same wave with real sleeps and a real deadline — the two backends
-//! agree on every reply value, which is what keeps simulation report
-//! digests bit-identical between them.
+//! through the scoped-thread comparison backend ([`run_wave_threaded`]),
+//! which interprets the same wave with real sleeps and a real deadline —
+//! the two backends agree on every reply value, which is what keeps
+//! simulation report digests bit-identical between them.
 //!
 //! # Entry points
 //!
-//! [`AsyncMediator`] is the owned-endpoint facade (the drop-in analogue of
-//! [`crate::runtime::MediationRuntime`]): register endpoints, then call
-//! [`AsyncMediator::gather_batch`] / [`AsyncMediator::mediate_batch`] —
-//! the native entry points — or the single-query conveniences built on
-//! them. Embedders that already own their participants (the simulator
-//! engine) build an [`IntentionWave`] directly, borrowing their agents in
-//! the wave's jobs, and hand it to [`Reactor::run_wave`].
+//! [`AsyncMediator`] is the owned-endpoint facade: register endpoints,
+//! then call [`AsyncMediator::gather_batch`] /
+//! [`AsyncMediator::mediate_batch`] — the native entry points — or the
+//! single-query conveniences built on them. Embedders that already own
+//! their participants (the simulator engine) build an [`IntentionWave`]
+//! directly, borrowing their agents in the wave's jobs, and hand it to
+//! [`Reactor::run_wave`].
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
@@ -757,21 +756,21 @@ fn duration_nanos(duration: Duration) -> u64 {
     u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Runs one wave on the legacy threaded backend: one scoped OS thread per
-/// participant request, a real deadline, and real sleeps for modelled
-/// latencies ([`Latency::After`] sleeps, [`Latency::Never`] never sends).
+/// Runs one wave on the scoped-thread comparison backend: one scoped OS
+/// thread per participant request, a real deadline, and real sleeps for
+/// modelled latencies ([`Latency::After`] sleeps, [`Latency::Never`] never
+/// sends).
 ///
-/// This is the thread-per-participant model the reactor replaces, kept as
-/// the comparison backend: for any wave whose replies arrive *strictly
-/// before* the deadline, it returns the same values as
-/// [`Reactor::run_wave`], which is what the cross-backend digest tests
-/// pin. The boundary differs by nature: the reactor's virtual clock makes
-/// a reply at exactly the deadline arrive deterministically, while here
-/// the deadline is real time, so a sleep of exactly `timeout` races the
-/// receiver and (almost always) degrades to indifference — don't model
-/// at-the-deadline latencies on this backend. Scoped threads are joined
-/// before this function returns, so a sleeping straggler delays the
-/// *return* (not the deadline: its reply is still discarded).
+/// For any wave whose replies arrive *strictly before* the deadline, it
+/// returns the same values as [`Reactor::run_wave`], which is what the
+/// cross-backend digest tests pin. The boundary differs by nature: the
+/// reactor's virtual clock makes a reply at exactly the deadline arrive
+/// deterministically, while here the deadline is real time, so a sleep of
+/// exactly `timeout` races the receiver and (almost always) degrades to
+/// indifference — don't model at-the-deadline latencies on this backend.
+/// Scoped threads are joined before this function returns, so a sleeping
+/// straggler delays the *return* (not the deadline: its reply is still
+/// discarded).
 pub fn run_wave_threaded(wave: IntentionWave<'_>, timeout: Duration) -> WaveReplies {
     enum Answer {
         Consumer(usize, ConsumerBatchAnswer),
@@ -785,7 +784,7 @@ pub fn run_wave_threaded(wave: IntentionWave<'_>, timeout: Duration) -> WaveRepl
         wave.providers.iter().map(|t| (t.id, None)).collect();
 
     std::thread::scope(|scope| {
-        let (tx, rx) = crossbeam::channel::unbounded::<Answer>();
+        let (tx, rx) = std::sync::mpsc::channel::<Answer>();
         let mut expected = 0usize;
         for (idx, task) in wave.consumers.into_iter().enumerate() {
             let latency = task.latency.unwrap_or_default();
@@ -821,7 +820,7 @@ pub fn run_wave_threaded(wave: IntentionWave<'_>, timeout: Duration) -> WaveRepl
 
         let mut received = 0usize;
         while received < expected {
-            match rx.recv_deadline(deadline) {
+            match rx.recv_timeout(deadline.saturating_duration_since(std::time::Instant::now())) {
                 Ok(Answer::Consumer(idx, reply)) => {
                     consumer_replies[idx].1 = Some(reply);
                     received += 1;
@@ -841,16 +840,13 @@ pub fn run_wave_threaded(wave: IntentionWave<'_>, timeout: Duration) -> WaveRepl
     }
 }
 
-/// The owned-endpoint facade over the reactor: the asynchronous
-/// counterpart of [`crate::runtime::MediationRuntime`], with
+/// The owned-endpoint facade over the reactor, with
 /// [`AsyncMediator::gather_batch`] and [`AsyncMediator::mediate_batch`]
 /// as the native entry points.
 ///
-/// Endpoints implement the same [`ConsumerEndpoint`] / [`ProviderEndpoint`]
-/// traits as the threaded runtime; their
+/// Endpoints implement [`ConsumerEndpoint`] / [`ProviderEndpoint`]; their
 /// [`ConsumerEndpoint::latency`] / [`ProviderEndpoint::latency`] hooks
-/// (ignored by the threaded runtime, which models latency with real
-/// blocking) tell the reactor when each reply becomes available.
+/// tell the reactor when each reply becomes available.
 ///
 /// ```
 /// use sqlb_mediation::{AsyncMediator, ConsumerEndpoint, ProviderEndpoint, RuntimeConfig};
@@ -896,9 +892,8 @@ impl AsyncMediator {
         }
     }
 
-    /// Registers a consumer endpoint. Unlike the threaded runtime, no
-    /// thread is spawned: the endpoint becomes a state machine polled by
-    /// the reactor's event loop.
+    /// Registers a consumer endpoint. No thread is spawned: the endpoint
+    /// becomes a state machine polled by the reactor's event loop.
     pub fn register_consumer(&mut self, id: ConsumerId, endpoint: impl ConsumerEndpoint) {
         self.reactor.register_consumer(id, Latency::Immediate);
         self.consumers.insert(id, Box::new(endpoint));

@@ -1,11 +1,9 @@
 //! A simple fixed-range histogram used for response-time distributions.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over a fixed `[min, max)` range with equally sized buckets,
 /// plus overflow/underflow counters. Also tracks exact count/sum/min/max so
 /// means are not subject to bucketing error.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     min: f64,
     max: f64,

@@ -1,13 +1,11 @@
 //! Summary statistics over a set of per-participant values.
 
-use serde::{Deserialize, Serialize};
-
 use crate::aggregate::{fairness, mean, min_max_ratio_with, std_dev, DEFAULT_MIN_MAX_C0};
 
 /// A summary of a set `S` of `g` values combining the paper's three metrics
 /// (Section 4) with basic descriptive statistics. This is the unit of
 /// measurement the experiment harness snapshots at every sampling instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of values summarized.
     pub count: usize,

@@ -6,13 +6,12 @@
 //! renders them in the column-per-series textual format used by the
 //! figure-regeneration binaries.
 
-use serde::{Deserialize, Serialize};
 use sqlb_types::SimTime;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A single sample of a time series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimePoint {
     /// Virtual time of the sample, in seconds.
     pub time: f64,
@@ -21,7 +20,7 @@ pub struct TimePoint {
 }
 
 /// An append-only series of `(time, value)` samples.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     points: Vec<TimePoint>,
 }
@@ -139,7 +138,7 @@ impl TimeSeries {
 
 /// A collection of named time series sharing a common x-axis, e.g. the three
 /// methods of Figure 4(a).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SeriesSet {
     series: BTreeMap<String, TimeSeries>,
 }

@@ -22,7 +22,6 @@
 
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
 use sqlb_types::{ProviderId, Reputation};
 use std::collections::BTreeMap;
 
@@ -33,7 +32,7 @@ use std::collections::BTreeMap;
 /// the feedback value by a learning-rate step; an optional decay pulls
 /// reputations back towards the prior when providers are not observed for a
 /// long time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReputationStore {
     prior: f64,
     learning_rate: f64,
@@ -115,7 +114,7 @@ impl Default for ReputationStore {
 
 /// Tracks how much first-hand experience a consumer has with each provider
 /// and derives the preference/reputation balance `υ` of Definition 7.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExperienceTracker {
     interactions: BTreeMap<ProviderId, u64>,
     /// Number of interactions after which the consumer fully trusts its own

@@ -1,6 +1,5 @@
 //! Consumer characterization (Section 3.1).
 
-use serde::{Deserialize, Serialize};
 use sqlb_types::Intention;
 
 use crate::allocation_satisfaction;
@@ -72,7 +71,7 @@ pub fn consumer_query_outcome(shown: &[f64], selected: &[usize], n: u32) -> Opti
 /// The tracker is value-agnostic: feed it intention-derived per-query values
 /// to obtain the public (mediator-observable) characterization, or
 /// preference-derived values for the consumer's private view.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConsumerTracker {
     adequations: InteractionMemory,
     satisfactions: InteractionMemory,

@@ -9,7 +9,6 @@
 //! in [`crate::ProviderTracker`], a `u16` class code per proposal in the
 //! provider agent's private preference history).
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A fixed-capacity FIFO memory of `f64` observations with O(1) incremental
@@ -17,7 +16,7 @@ use std::collections::VecDeque;
 ///
 /// Pushing beyond the capacity evicts the oldest observation, so the memory
 /// always reflects the `k` most recent interactions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InteractionMemory {
     capacity: usize,
     values: VecDeque<f64>,
@@ -128,7 +127,7 @@ impl InteractionMemory {
 /// is the oldest entry and a push overwrites it in place, returning the
 /// evicted entry so the caller can update its running sums. Iteration is
 /// oldest first, which is insertion order while filling.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WindowRing<T> {
     entries: Vec<T>,
     /// Index of the oldest entry once `entries` is at capacity (0 while

@@ -1,6 +1,5 @@
 //! Provider characterization (Section 3.2).
 
-use serde::{Deserialize, Serialize};
 use sqlb_types::Intention;
 
 use crate::allocation_satisfaction;
@@ -35,7 +34,7 @@ use crate::memory::{InteractionMemory, WindowRing};
 /// bit of a stored value is otherwise always clear. Both windows allocate
 /// lazily, so a provider that was never proposed anything owns no window
 /// memory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProviderTracker {
     /// Tagged mapped values of the `k_proposed` last proposals (performed
     /// or not): `-v` for a performed query, `+v` otherwise. One window

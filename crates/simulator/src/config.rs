@@ -1,6 +1,5 @@
 //! Simulation configuration.
 
-use serde::{Deserialize, Serialize};
 use sqlb_agents::{ConsumerDepartureRule, PopulationConfig, ProviderDepartureRule};
 use sqlb_baselines::{CapacityBased, MariposaLike, RandomAllocator, RoundRobinAllocator};
 use sqlb_core::{AllocationMethod, SqlbAllocator};
@@ -10,7 +9,7 @@ use crate::routing::RoutingPolicyKind;
 use crate::workload::WorkloadPattern;
 
 /// The allocation method under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// The paper's contribution: Satisfaction-based Query Load Balancing.
     Sqlb,
@@ -80,16 +79,16 @@ impl Method {
 /// .unwrap();
 /// assert_eq!(inline.digest(), reactor.digest());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MediationMode {
     /// Intentions are computed by direct in-process calls on the arrival
     /// hot path — no mediation layer at all. The fastest backend and the
     /// default (the paper's evaluation substrate).
     #[default]
     Inline,
-    /// Every arrival forks one OS thread per participant request and
-    /// waits for the replies until a real deadline — the legacy
-    /// thread-per-participant model, kept as the comparison backend.
+    /// Every arrival forks one scoped OS thread per participant request
+    /// and waits for the replies until a real deadline
+    /// (`sqlb-mediation::run_wave_threaded`) — the comparison backend.
     Threaded,
     /// Every arrival runs as one wave of the asynchronous mediation
     /// reactor: participant endpoints are polled state machines on a
@@ -118,7 +117,7 @@ impl MediationMode {
 }
 
 /// Full configuration of one simulation run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimulationConfig {
     /// Population (participants, classes, preferences).
     pub population: PopulationConfig,
@@ -166,9 +165,8 @@ pub struct SimulationConfig {
     /// provider utilization before a rebalancing round migrates a
     /// provider. Keeps migration from thrashing on noise.
     pub migration_min_spread: f64,
-    /// Which mediation backend gathers intentions (inline calls, the
-    /// legacy threaded runtime, the asynchronous reactor, or the socket
-    /// transport). Reports are bit-identical across backends for a given
+    /// Which mediation backend gathers intentions (inline calls, scoped
+    /// threads, the asynchronous reactor, or the socket transport). Reports are bit-identical across backends for a given
     /// seed.
     pub mediation: MediationMode,
     /// Number of loopback participant-host connections the socket
@@ -190,7 +188,6 @@ pub struct SimulationConfig {
     /// bit-identical same-seed reports: chunking is a pure function of
     /// the batch length, each chunk writes a disjoint region of the score
     /// column, and ties still break on the lowest provider id.
-    #[serde(default = "default_scoring_threads")]
     pub scoring_threads: usize,
     /// Whether the socket backend coalesces every query arrival landing
     /// on the same virtual instant into one multi-query mediation wave
@@ -204,16 +201,14 @@ pub struct SimulationConfig {
     /// stays engaged — least-loaded K=1 runs keep the batched fan-out).
     /// Ignored by the in-process backends, which have no framing cost to
     /// amortize.
-    #[serde(default = "default_socket_wave_coalescing")]
     pub socket_wave_coalescing: bool,
-    /// Wave deadline of the mediated backends (threaded runtime, reactor
-    /// and socket transport), in milliseconds: replies that miss it
+    /// Wave deadline of the mediated backends (threaded, reactor and
+    /// socket transport), in milliseconds: replies that miss it
     /// degrade to indifference. The default (5000 ms) is far beyond any
     /// loopback reply latency, so it never fires in fault-free runs;
     /// scenario campaigns that stall hosts lower it so each stalled wave
     /// pays a short, bounded penalty instead of five wall-clock seconds.
     /// Ignored by the inline backend, which has no wire to time out.
-    #[serde(default = "default_wave_timeout_ms")]
     pub wave_timeout_ms: u64,
     /// Whether runtime observability (`sqlb-obs`) is enabled: counters,
     /// latency histograms and the structured flight recorder, threaded
@@ -222,33 +217,7 @@ pub struct SimulationConfig {
     /// on a `None`, so fault-free hot-path behaviour and same-seed
     /// digests are identical either way (pinned by the
     /// `observability` integration tests).
-    #[serde(default)]
     pub observability: bool,
-}
-
-/// Serde default for [`SimulationConfig::scoring_threads`], so configs
-/// serialized before the knob existed deserialize to the sequential
-/// scorer. (The vendored serde stub ignores the attribute; this matters
-/// only under the real crate, so outside tests the function is unused.)
-#[allow(dead_code)]
-fn default_scoring_threads() -> usize {
-    1
-}
-
-/// Serde default for [`SimulationConfig::socket_wave_coalescing`]: configs
-/// serialized before the knob existed deserialize to the coalescing
-/// behaviour, matching the constructors.
-#[allow(dead_code)]
-fn default_socket_wave_coalescing() -> bool {
-    true
-}
-
-/// Serde default for [`SimulationConfig::wave_timeout_ms`]: configs
-/// serialized before the knob existed deserialize to the historical
-/// 5-second deadline.
-#[allow(dead_code)]
-fn default_wave_timeout_ms() -> u64 {
-    5_000
 }
 
 impl SimulationConfig {
@@ -606,9 +575,6 @@ mod tests {
             assert!(!c.observability, "observability is off by default");
             assert!(c.with_observability(true).observability);
         }
-        assert_eq!(super::default_scoring_threads(), 1);
-        assert!(super::default_socket_wave_coalescing());
-        assert_eq!(super::default_wave_timeout_ms(), 5_000);
     }
 
     #[test]

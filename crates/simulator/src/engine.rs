@@ -248,9 +248,8 @@ impl WaveConditions {
 enum MediationDriver {
     /// Direct in-process calls on the arrival hot path (the default).
     Inline,
-    /// One scoped OS thread per participant request, per arrival — the
-    /// legacy thread-per-participant model, kept as the comparison
-    /// backend.
+    /// One scoped OS thread per participant request, per arrival, with a
+    /// real deadline ([`run_wave_threaded`]) — the comparison backend.
     Threaded,
     /// The asynchronous reactor: the engine registers every participant
     /// as a polled endpoint at start-up, deregisters it on departure, and
@@ -264,14 +263,40 @@ enum MediationDriver {
     Socket(Box<SocketMediator>),
 }
 
-/// One arrival of a coalesced socket wave, prepared (drawn, routed,
-/// candidates resolved) but not yet mediated or allocated.
+/// One arrival prepared (drawn, routed, candidates resolved) but not yet
+/// mediated or allocated. The candidate set `P_q` stays where it was
+/// resolved, so the in-process paths read it without a copy.
+struct Arrival {
+    query: Query,
+    shard: usize,
+    /// Whether `P_q` is the matchmaker-narrowed list in
+    /// [`ArrivalScratch::candidates`] rather than the shard's whole
+    /// provider list.
+    narrowed: bool,
+}
+
+impl Arrival {
+    /// The arrival's candidate set `P_q`, read where it was resolved
+    /// (`scratch` is [`ArrivalScratch::candidates`]).
+    fn candidates<'a>(
+        &self,
+        router: &'a ShardRouter,
+        scratch: &'a [ProviderId],
+    ) -> &'a [ProviderId] {
+        if self.narrowed {
+            scratch
+        } else {
+            router.providers_of_shard(self.shard)
+        }
+    }
+}
+
+/// An arrival of a socket wave: the candidate set is owned, because the
+/// socket path copies it into the wave request anyway and a coalesced
+/// batch outlives the borrow.
 struct PreparedArrival {
     query: Query,
     shard: usize,
-    /// The candidate set `P_q`, owned: the socket path clones it into
-    /// the wave request anyway, and the batch outlives the borrow the
-    /// per-arrival path gets away with.
     candidates: Vec<ProviderId>,
 }
 
@@ -769,71 +794,27 @@ impl Simulator {
     }
 
     fn handle_arrival(&mut self) {
-        // The socket backend coalesces every arrival landing on this same
-        // virtual instant into one multi-query wave (when the knob is on
-        // and routing is load-blind — a load-reactive policy reads
-        // allocation state between arrivals, so its runs stay strictly
-        // sequential. With a single shard, though, every route is shard 0
-        // no matter what the policy observes, so least-loaded K = 1 runs
-        // keep the batched fan-out instead of needlessly degrading to one
-        // wave per arrival).
-        if matches!(self.mediation, MediationDriver::Socket(_))
-            && self.config.socket_wave_coalescing
-            && (!self.routing.reacts_to_load() || self.router.shard_count() == 1)
-        {
-            return self.handle_socket_arrivals();
-        }
-
-        // Always keep the arrival process alive (its rate follows the
-        // workload pattern and the number of remaining consumers).
-        self.schedule_next_arrival();
-
-        // The active-consumer index presents the surviving consumers in
-        // ascending id order — the same sequence the per-arrival
-        // filter-and-collect used to produce, so the random draw picks the
-        // same consumer for the same seed.
-        let consumers = self.population.active_consumer_ids();
-        if consumers.is_empty() {
+        if let MediationDriver::Socket(_) = self.mediation {
+            // The socket backend coalesces every arrival landing on this
+            // same virtual instant into one multi-query wave (when the
+            // knob is on and routing is load-blind — a load-reactive
+            // policy reads allocation state between arrivals, so its runs
+            // stay strictly sequential. With a single shard, though,
+            // every route is shard 0 no matter what the policy observes,
+            // so least-loaded K = 1 runs keep the batched fan-out instead
+            // of needlessly degrading to one wave per arrival).
+            if self.config.socket_wave_coalescing
+                && (!self.routing.reacts_to_load() || self.router.shard_count() == 1)
+            {
+                return self.handle_socket_arrivals();
+            }
+            // Otherwise every arrival is a wave of its own: a batch of one.
+            if let Some(prepared) = self.prepare_socket_arrival() {
+                self.mediate_socket_batch(vec![prepared]);
+            }
             return;
         }
-        let consumer = consumers[self.rng.random_range(0..consumers.len())];
-        let class = if self.rng.random_bool(0.5) {
-            QueryClass::Light
-        } else {
-            QueryClass::Heavy
-        };
-        let mut query = Query::single(QueryId::new(self.next_query_id), consumer, class, self.now);
-        query.n = self.config.query_n;
-        if self.matchmaker.is_some() {
-            // Capability matchmaking matches on the description topic;
-            // tag the query with its class topic so providers' declared
-            // class capabilities can cover it.
-            query.description.topic = class_topic(class);
-        }
-        self.next_query_id = self.next_query_id.wrapping_add(1);
-        self.issued += 1;
-        self.metrics.queries_issued.inc();
-
-        // Route the query to its mediator shard; the candidate set is the
-        // providers that shard owns. Routing is deterministic (a pure
-        // function of the consumer id and the observed per-shard load), so
-        // a mono-mediator run consumes exactly the same random stream as
-        // the pre-sharding engine. A query is only unallocated when *no*
-        // shard has an active provider left: departures can empty one
-        // shard while the system still has capacity, in which case the
-        // query falls over to the next non-empty shard (deterministically,
-        // so runs stay reproducible).
-        let preferred = self.routing.route(
-            consumer,
-            &self.router,
-            ShardLoadView {
-                backlog: &self.shard_backlog,
-                capacity: &self.shard_capacity,
-            },
-        );
-        let Some(shard) = self.first_shard_with_candidates(preferred) else {
-            self.unallocated += 1;
-            self.metrics.queries_unallocated.inc();
+        let Some(arrival) = self.prepare_arrival() else {
             return;
         };
 
@@ -848,43 +829,18 @@ impl Simulator {
         // backends for a given seed.
         // The transport-fault seam: the condition of every loopback host
         // for a wave issued at this instant (all-healthy outside scenario
-        // fault windows), plus the wire-fault plan when the wave really
-        // crosses sockets. A fault models the *reply* going missing, not
+        // fault windows). A fault models the *reply* going missing, not
         // the work: every backend degrades a faulted host's answers to
         // the same indifference the wave timeout semantics fabricate.
-        // (Resolved before the candidate set borrows the router.)
         let conditions = self.wave_conditions();
-        let fault_plan = if matches!(self.mediation, MediationDriver::Socket(_)) {
-            self.socket_fault_plan()
-        } else {
-            Vec::new()
-        };
-
-        // The candidate set `P_q`: the shard's provider list, optionally
-        // narrowed by capability matchmaking to the providers whose
-        // declared capabilities cover the query's description. An empty
-        // filtered set falls back to the whole shard — a query must not
-        // be dropped while capable-ish providers remain (documented
-        // fall-back of the opt-in mode).
-        let shard_providers = self.router.providers_of_shard(shard);
-        let candidates: &[ProviderId] = match &self.matchmaker {
-            None => shard_providers,
-            Some(matchmaker) => {
-                let matching = matchmaker.matching(query.class());
-                intersect_sorted(shard_providers, matching, &mut self.scratch.candidates);
-                if self.scratch.candidates.is_empty() {
-                    shard_providers
-                } else {
-                    &self.scratch.candidates
-                }
-            }
-        };
+        let query = &arrival.query;
+        let consumer = query.consumer;
+        let candidates = arrival.candidates(&self.router, &self.scratch.candidates);
 
         let uses_bids = self.method_kind.uses_bids();
         let now = self.now;
         let wave_timeout = Duration::from_millis(self.config.wave_timeout_ms);
         let mut fabricated = 0u64;
-        let mut wire_timeouts = 0u64;
         match &mut self.mediation {
             MediationDriver::Inline => {
                 let consumer_agent = &self.population.consumers[consumer];
@@ -904,7 +860,7 @@ impl Simulator {
                     let ci = if consumer_down {
                         0.0
                     } else {
-                        consumer_agent.intention_for(&query, p, &self.reputation)
+                        consumer_agent.intention_for(query, p, &self.reputation)
                     };
                     if matches!(conditions.provider(p), HostCondition::Unresponsive) {
                         fabricated += 1;
@@ -917,69 +873,16 @@ impl Simulator {
                         continue;
                     }
                     let provider_agent = &mut self.population.providers[p];
-                    let (pi, utilization) = provider_agent.intention_and_utilization(&query, now);
+                    let (pi, utilization) = provider_agent.intention_and_utilization(query, now);
                     let mut info = CandidateInfo::new(p)
                         .with_consumer_intention(ci)
                         .with_provider_intention(pi)
                         .with_utilization(utilization);
                     if uses_bids {
-                        info = info.with_bid(provider_agent.bid_for(&query, now));
+                        info = info.with_bid(provider_agent.bid_for(query, now));
                     }
                     infos.push(info);
                 }
-            }
-            MediationDriver::Socket(socket) => {
-                // One wave over real loopback sockets: the request is
-                // framed, fanned out by the wave server, decoded by the
-                // participant-host threads, and answered by jobs that
-                // compute the same Definition 7/8 values as the other
-                // backends — on the *decoded* queries, so the reply
-                // derives from the bytes that actually travelled.
-                let consumer_agent = &self.population.consumers[consumer];
-                let reputation = &self.reputation;
-                let mut jobs = WaveJobs::new();
-                jobs.consumer(consumer, move |decoded| {
-                    decoded
-                        .iter()
-                        .map(|(q, cands)| {
-                            (
-                                q.id,
-                                cands
-                                    .iter()
-                                    .map(|&p| (p, consumer_agent.intention_for(q, p, reputation)))
-                                    .collect(),
-                            )
-                        })
-                        .collect()
-                });
-                for (p, agent) in self.population.providers.iter_mut_of(candidates) {
-                    jobs.provider(p, move |decoded, request_bids| {
-                        decoded
-                            .iter()
-                            .map(|q| {
-                                let (intention, utilization) =
-                                    agent.intention_and_utilization(q, now);
-                                ProviderAnswer {
-                                    query: q.id,
-                                    intention,
-                                    utilization,
-                                    bid: request_bids.then(|| agent.bid_for(q, now)),
-                                }
-                            })
-                            .collect()
-                    });
-                }
-                let requests = [(query.clone(), candidates.to_vec())];
-                let gathered = socket.gather_with_faults(&requests, jobs, &fault_plan);
-                // The wave's wire timeouts (delta of the accumulated
-                // total): the unified indifference accounting below
-                // treats them exactly like the indifference the
-                // in-process backends fabricate.
-                wire_timeouts = socket.timed_out_total() - self.socket_timeouts_seen;
-                self.socket_timeouts_seen = socket.timed_out_total();
-                let infos = &mut self.scratch.infos;
-                infos.clear();
-                infos.extend(gathered.into_iter().flatten());
             }
             driver => {
                 // One wave: a batched intention request to the issuing
@@ -987,7 +890,6 @@ impl Simulator {
                 // candidate provider, with per-endpoint deadline tracking.
                 let consumer_agent = &self.population.consumers[consumer];
                 let reputation = &self.reputation;
-                let query_ref = &query;
                 let mut wave = IntentionWave::with_capacity(1, candidates.len());
                 // Scenario faults ride in as per-wave latency overrides:
                 // an unresponsive host's endpoints miss the deadline
@@ -1000,10 +902,10 @@ impl Simulator {
                 }
                 wave.consumer(consumer, consumer_condition.latency_override(), move || {
                     vec![(
-                        query_ref.id,
+                        query.id,
                         candidates
                             .iter()
-                            .map(|&p| (p, consumer_agent.intention_for(query_ref, p, reputation)))
+                            .map(|&p| (p, consumer_agent.intention_for(query, p, reputation)))
                             .collect(),
                     )]
                 });
@@ -1017,13 +919,12 @@ impl Simulator {
                         fabricated += 1;
                     }
                     wave.provider(p, condition.latency_override(), move || {
-                        let (intention, utilization) =
-                            agent.intention_and_utilization(query_ref, now);
+                        let (intention, utilization) = agent.intention_and_utilization(query, now);
                         vec![ProviderAnswer {
-                            query: query_ref.id,
+                            query: query.id,
                             intention,
                             utilization,
-                            bid: uses_bids.then(|| agent.bid_for(query_ref, now)),
+                            bid: uses_bids.then(|| agent.bid_for(query, now)),
                         }]
                     });
                 }
@@ -1032,7 +933,7 @@ impl Simulator {
                     MediationDriver::Threaded => run_wave_threaded(wave, wave_timeout),
                     MediationDriver::Reactor(reactor) => reactor.run_wave(wave),
                     MediationDriver::Inline | MediationDriver::Socket(_) => {
-                        unreachable!("inline and socket are handled above")
+                        unreachable!("inline is handled above, socket before the gather")
                     }
                 };
 
@@ -1047,16 +948,13 @@ impl Simulator {
             if let Some(state) = &mut self.scenario {
                 state.fault_indifference += fabricated;
             }
-        }
-        // Unified across backends: at most one of the two sources is
-        // non-zero (the socket backend counts real wire timeouts, the
-        // in-process ones the indifference they fabricate).
-        let degraded = fabricated + wire_timeouts;
-        if degraded > 0 {
-            self.note_degraded_wave(u64::from(query.id.raw()), degraded);
+            // The in-process backends' share of the unified indifference
+            // accounting (the socket backend credits its real wire
+            // timeouts in `mediate_socket_batch`).
+            self.note_degraded_wave(u64::from(query.id.raw()), fabricated);
         }
 
-        self.allocate_and_record(&query, shard);
+        self.allocate_and_record(&arrival.query, arrival.shard);
     }
 
     /// Allocation decision (Algorithm 1, lines 6–9) over the candidate
@@ -1160,7 +1058,7 @@ impl Simulator {
     /// order, exactly like the sequential path.
     fn handle_socket_arrivals(&mut self) {
         let mut batch: Vec<PreparedArrival> = Vec::new();
-        if let Some(first) = self.prepare_arrival() {
+        if let Some(first) = self.prepare_socket_arrival() {
             batch.push(first);
         }
         while matches!(
@@ -1168,7 +1066,7 @@ impl Simulator {
             Some((time, Event::QueryArrival)) if time == self.now
         ) {
             self.queue.pop();
-            let Some(prepared) = self.prepare_arrival() else {
+            let Some(prepared) = self.prepare_socket_arrival() else {
                 continue;
             };
             let conflicts = batch.iter().any(|earlier| {
@@ -1185,15 +1083,20 @@ impl Simulator {
         }
     }
 
-    /// The per-arrival work that precedes mediation, shared wording with
-    /// the sequential path (see [`Simulator::handle_arrival`]): reschedule
-    /// the arrival process, draw the consumer and query class, route to a
-    /// shard and resolve the candidate set. Returns `None` when no
-    /// consumer or no provider-bearing shard remains (the arrival is
-    /// counted exactly as the sequential path counts it).
-    fn prepare_arrival(&mut self) -> Option<PreparedArrival> {
+    /// The per-arrival work that precedes mediation, shared by every
+    /// arrival path: reschedule the arrival process (its rate follows the
+    /// workload pattern and the number of remaining consumers), draw the
+    /// consumer and query class, route to a shard and resolve the
+    /// candidate set. Returns `None` when no consumer remains (nothing is
+    /// issued) or no provider-bearing shard does (the query is counted as
+    /// issued and unallocated).
+    fn prepare_arrival(&mut self) -> Option<Arrival> {
         self.schedule_next_arrival();
 
+        // The active-consumer index presents the surviving consumers in
+        // ascending id order — the same sequence the per-arrival
+        // filter-and-collect used to produce, so the random draw picks the
+        // same consumer for the same seed.
         let consumers = self.population.active_consumer_ids();
         if consumers.is_empty() {
             return None;
@@ -1207,12 +1110,24 @@ impl Simulator {
         let mut query = Query::single(QueryId::new(self.next_query_id), consumer, class, self.now);
         query.n = self.config.query_n;
         if self.matchmaker.is_some() {
+            // Capability matchmaking matches on the description topic;
+            // tag the query with its class topic so providers' declared
+            // class capabilities can cover it.
             query.description.topic = class_topic(class);
         }
         self.next_query_id = self.next_query_id.wrapping_add(1);
         self.issued += 1;
         self.metrics.queries_issued.inc();
 
+        // Route the query to its mediator shard; the candidate set is the
+        // providers that shard owns. Routing is deterministic (a pure
+        // function of the consumer id and the observed per-shard load), so
+        // a mono-mediator run consumes exactly the same random stream as
+        // the pre-sharding engine. A query is only unallocated when *no*
+        // shard has an active provider left: departures can empty one
+        // shard while the system still has capacity, in which case the
+        // query falls over to the next non-empty shard (deterministically,
+        // so runs stay reproducible).
         let preferred = self.routing.route(
             consumer,
             &self.router,
@@ -1226,30 +1141,60 @@ impl Simulator {
             self.metrics.queries_unallocated.inc();
             return None;
         };
-        let shard_providers = self.router.providers_of_shard(shard);
-        let candidates = match &self.matchmaker {
-            None => shard_providers.to_vec(),
+
+        // The candidate set `P_q`: the shard's provider list, optionally
+        // narrowed by capability matchmaking to the providers whose
+        // declared capabilities cover the query's description. An empty
+        // filtered set falls back to the whole shard — a query must not
+        // be dropped while capable-ish providers remain (documented
+        // fall-back of the opt-in mode).
+        let narrowed = match &self.matchmaker {
+            None => false,
             Some(matchmaker) => {
                 let matching = matchmaker.matching(query.class());
-                intersect_sorted(shard_providers, matching, &mut self.scratch.candidates);
-                if self.scratch.candidates.is_empty() {
-                    shard_providers.to_vec()
-                } else {
-                    self.scratch.candidates.clone()
-                }
+                intersect_sorted(
+                    self.router.providers_of_shard(shard),
+                    matching,
+                    &mut self.scratch.candidates,
+                );
+                !self.scratch.candidates.is_empty()
             }
         };
-        Some(PreparedArrival {
+        Some(Arrival {
             query,
             shard,
+            narrowed,
+        })
+    }
+
+    /// [`Simulator::prepare_arrival`] for a socket wave: the candidate
+    /// set is copied out, because the wave request carries it and a
+    /// coalesced batch outlives the borrow.
+    fn prepare_socket_arrival(&mut self) -> Option<PreparedArrival> {
+        let arrival = self.prepare_arrival()?;
+        let candidates = arrival
+            .candidates(&self.router, &self.scratch.candidates)
+            .to_vec();
+        Some(PreparedArrival {
+            query: arrival.query,
+            shard: arrival.shard,
             candidates,
         })
     }
 
-    /// Mediates one coalesced batch as a single socket wave, then
-    /// allocates each query of the batch in arrival order. The batch
-    /// invariant (distinct consumers, distinct shards — hence disjoint
-    /// candidate sets) is established by [`Simulator::handle_socket_arrivals`].
+    /// Mediates a batch of arrivals as a single socket wave, then
+    /// allocates each query of the batch in arrival order — the socket
+    /// backend's only gather site. The batch invariant (distinct
+    /// consumers, distinct shards — hence disjoint candidate sets) is
+    /// established by [`Simulator::handle_socket_arrivals`]; a
+    /// non-coalesced arrival is a batch of one.
+    ///
+    /// One wave over real loopback sockets: the request is framed, fanned
+    /// out by the wave server, decoded by the participant-host threads,
+    /// and answered by jobs that compute the same Definition 7/8 values
+    /// as the other backends — on the *decoded* queries, so the reply
+    /// derives from the bytes that actually travelled. The wire-fault
+    /// plan is computed here, exactly once per wave issued.
     fn mediate_socket_batch(&mut self, batch: Vec<PreparedArrival>) {
         let now = self.now;
         let fault_plan = self.socket_fault_plan();
@@ -1268,7 +1213,7 @@ impl Simulator {
         all_candidates.sort_unstable();
 
         let MediationDriver::Socket(socket) = &mut self.mediation else {
-            unreachable!("the coalescing path is entered only on the socket backend");
+            unreachable!("socket waves are mediated only on the socket backend");
         };
         let reputation = &self.reputation;
         let mut jobs = WaveJobs::new();
@@ -1309,11 +1254,14 @@ impl Simulator {
             });
         }
         let gathered = socket.gather_with_faults(&requests, jobs, &fault_plan);
+        // The wave's wire timeouts (delta of the accumulated total),
+        // credited to the unified indifference accounting exactly like
+        // the indifference the in-process backends fabricate.
         let wire_timeouts = socket.timed_out_total() - self.socket_timeouts_seen;
         self.socket_timeouts_seen = socket.timed_out_total();
         if wire_timeouts > 0 {
-            // One coalesced wave, one degraded-wave credit — stamped
-            // with the first query of the batch.
+            // One wave, one degraded-wave credit — stamped with the
+            // first query of the batch.
             self.note_degraded_wave(u64::from(batch[0].query.id.raw()), wire_timeouts);
         }
         for (arrival, infos) in batch.iter().zip(gathered) {
@@ -2511,7 +2459,7 @@ mod tests {
     #[test]
     fn every_mediation_backend_reproduces_the_same_run_bit_for_bit() {
         // The acceptance bar for the reactor rewrite: routing the gather
-        // step through the threaded runtime or the asynchronous reactor
+        // step through scoped threads or the asynchronous reactor
         // must not change a single bit of the report — the backends ask
         // the same agents the same questions in the same order.
         let config = small_config(150.0, 9).with_workload(WorkloadPattern::Fixed(0.6));

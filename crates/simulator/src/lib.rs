@@ -16,9 +16,9 @@
 //! * [`config`] — simulation configuration (Table 2 defaults plus scaled
 //!   variants), the [`config::Method`] selector for the allocation method
 //!   under test and the [`config::MediationMode`] selector for the
-//!   mediation backend intentions are gathered through (inline calls, the
-//!   legacy threaded runtime, the asynchronous reactor, or the loopback
-//!   socket transport — bit-identical reports either way);
+//!   mediation backend intentions are gathered through (inline calls,
+//!   scoped threads, the asynchronous reactor, or the loopback socket
+//!   transport — bit-identical reports either way);
 //! * [`workload`] — workload patterns (fixed or ramping fraction of the
 //!   total system capacity) and the Poisson arrival process;
 //! * [`events`] — the event queue of the discrete-event engine;

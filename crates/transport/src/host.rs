@@ -14,7 +14,7 @@
 //! marker is also a flow-control contract: the host keeps reading while
 //! the server keeps writing, so neither side can block the other into a
 //! deadlock on full socket buffers.) Endpoint latency hooks are
-//! honoured the way the threaded runtime models them: `After` sleeps
+//! honoured the way the scoped-thread backend models them: `After` sleeps
 //! before the reply, `Never` sends none — the server reads the silence
 //! as indifference when the wave deadline passes.
 

@@ -5,14 +5,13 @@
 //! integer identifiers so that they can be used as direct indexes into dense
 //! per-participant tables (preference matrices, satisfaction trackers, ...).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
         pub struct $name(pub u32);
 
@@ -88,7 +87,7 @@ id_type!(
 /// An entity that can participate in the system either as a consumer, a
 /// provider, or both ("These sets are not necessarily disjoint, an entity may
 /// play more than one role", Section 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParticipantId {
     /// A consumer participant.
     Consumer(ConsumerId),

@@ -18,7 +18,6 @@
 //! scoring code therefore works on raw `f64`s and only converts to
 //! [`Intention`] (clamping) when feeding the Section 3 satisfaction model.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::error::SqlbError;
@@ -27,7 +26,7 @@ use crate::error::SqlbError;
 ///
 /// Used for adequation, satisfaction, utilization fractions, fairness
 /// indexes and every other quantity the paper constrains to `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct UnitInterval(f64);
 
 impl UnitInterval {
@@ -85,7 +84,7 @@ impl From<UnitInterval> for f64 {
 macro_rules! signed_unit_type {
     ($(#[$doc:meta])* $name:ident, $what:literal) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
         pub struct $name(f64);
 
         impl $name {
@@ -196,7 +195,7 @@ signed_unit_type!(
 ///
 /// This is a semantic alias distinguishing the Section 3 quantities from
 /// arbitrary unit-interval values at API boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Satisfaction(UnitInterval);
 
 impl Satisfaction {

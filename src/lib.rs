@@ -23,7 +23,7 @@
 //! | [`core`] | intention functions, scoring, Algorithm 1, the SQLB allocator |
 //! | [`baselines`] | Capacity based, Mariposa-like, Random, Round-robin |
 //! | [`agents`] | consumer/provider agents, utilization, departures, populations |
-//! | [`mediation`] | concurrent mediation runtime (fork / waituntil / timeout) |
+//! | [`mediation`] | mediation reactor, endpoints and wire protocol (fork / waituntil / timeout) |
 //! | [`transport`] | socket-backed mediation: TCP/UDS wave server and participant hosts |
 //! | [`sim`] | discrete-event simulator and per-figure experiment drivers |
 //!
@@ -95,7 +95,7 @@ pub mod prelude {
     pub use sqlb_core::scoring::{omega, provider_score, rank_candidates, RankedProvider};
     pub use sqlb_core::{
         consumer_intention, provider_intention, IntentionParams, MediatorState, OmegaPolicy,
-        QueryAllocationModule, SqlbAllocator, SqlbConfig,
+        SqlbAllocator, SqlbConfig,
     };
     pub use sqlb_matchmaking::{Capability, CapabilityRegistry, Matchmaker, UniversalMatchmaker};
     pub use sqlb_metrics::{fairness, mean, min_max_ratio, Summary, TimeSeries};

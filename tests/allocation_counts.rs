@@ -9,7 +9,10 @@
 //!   must stay lazily allocated, or setup at 10⁵–10⁶ participants pays for
 //!   every empty window up front;
 //! * what a fixed number of steady-state inline arrivals costs at a fixed
-//!   seed, after a warm-up that fills every proposal window.
+//!   seed, after a warm-up that fills every proposal window;
+//! * what building and running one small simulation costs end to end on
+//!   the inline and on the reactor backend — the engine's own arrival
+//!   path (`Simulator::handle_arrival`), not a hand-written copy of it.
 //!
 //! An "allocation" is one call to `alloc`, `alloc_zeroed` or `realloc`.
 //! A change to a pinned count is a behaviour change: update the pin only
@@ -23,7 +26,7 @@ use sqlb::core::mediator_state::MediatorStateConfig;
 use sqlb::core::{CandidateInfo, SelectionSet};
 use sqlb::reputation::ReputationStore;
 use sqlb::satisfaction::ProviderTracker;
-use sqlb::sim::{Method, ShardRouter};
+use sqlb::sim::{MediationMode, Method, ShardRouter, SimulationConfig, Simulator, WorkloadPattern};
 use sqlb::types::{Capacity, Preference, ProviderId, Query, QueryClass, QueryId, SimTime};
 
 thread_local! {
@@ -240,5 +243,45 @@ fn steady_state_inline_arrivals_allocate_a_pinned_count() {
     assert_eq!(
         system.allocator_allocations - in_allocate_before,
         u64::from(MEASURED)
+    );
+}
+
+/// Allocations of [`engine_run_allocations`] on the inline backend.
+const INLINE_RUN_PIN: u64 = 2050;
+/// Allocations of [`engine_run_allocations`] on the reactor backend: the
+/// inline count plus each wave's boxed jobs and reply vectors.
+const REACTOR_RUN_PIN: u64 = 9587;
+
+/// Allocations made by `Simulator::new` plus `run` for one small fixed
+/// run on `mediation`: population build, backend set-up, every arrival,
+/// completion and periodic sweep, and the report.
+fn engine_run_allocations(mediation: MediationMode) -> u64 {
+    let config = SimulationConfig::scaled(8, 16, 60.0, 7)
+        .with_workload(WorkloadPattern::Fixed(0.5))
+        .with_mediation(mediation)
+        .with_scoring_threads(1)
+        .with_observability(false);
+    let (report, allocations) = counted(|| {
+        Simulator::new(config, Method::Sqlb)
+            .expect("valid config")
+            .run()
+    });
+    assert!(report.completed_queries > 0);
+    allocations
+}
+
+#[test]
+fn an_inline_engine_run_allocates_a_pinned_count() {
+    assert_eq!(
+        engine_run_allocations(MediationMode::Inline),
+        INLINE_RUN_PIN
+    );
+}
+
+#[test]
+fn a_reactor_engine_run_allocates_a_pinned_count() {
+    assert_eq!(
+        engine_run_allocations(MediationMode::Reactor),
+        REACTOR_RUN_PIN
     );
 }

@@ -9,9 +9,8 @@
 //!    backend.
 //! 2. **Backends are interchangeable.** Same-seed simulation runs produce
 //!    identical migration logs and bit-identical report digests whether
-//!    the engine gathers intentions inline, over the legacy
-//!    thread-per-participant runtime, or through the asynchronous
-//!    reactor. (The `report_digest --backends` binary checks the same
+//!    the engine gathers intentions inline, over scoped threads (one per
+//!    participant request), or through the asynchronous reactor. (The `report_digest --backends` binary checks the same
 //!    property over the full 15-configuration matrix.)
 
 use std::time::Duration;
