@@ -8,10 +8,9 @@
 //! processes-worth of endpoints (one socket per host, not per
 //! endpoint), replies decoded and reassembled on the way back.
 //!
-//! The 10k-endpoint round is the PR's acceptance measurement: its
-//! best-of-N wall clock is recorded into `BENCH_allocation.json` as the
-//! record's `transport` row (label from `BENCH_LABEL`, default
-//! `"latest"`).
+//! After the criterion groups it prints a best-of-5 measurement of the
+//! 10k-endpoint round. Nothing is written and nothing gates: the wire
+//! itself is pinned by exact counters in `tests/observability.rs`.
 //!
 //! Run with: `cargo bench -p sqlb-bench --bench transport_scaling`
 
@@ -19,106 +18,18 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqlb_bench::perf;
-use sqlb_mediation::{ConsumerEndpoint, ProviderEndpoint};
-use sqlb_transport::{ParticipantHost, ServerConfig, WaveServer};
-use sqlb_types::{ConsumerId, ProviderId, Query, QueryClass, QueryId, SimTime};
 
-/// Candidates per query; 16 keeps candidate sets realistic while letting
-/// a batch cover every provider endpoint exactly once.
-const CANDIDATES_PER_QUERY: u32 = 16;
-/// Consumers issuing the batch (queries are spread over them).
-const CONSUMERS: u32 = 64;
-/// Participant-host connections the endpoints are multiplexed over.
-const HOSTS: u32 = 8;
 /// The acceptance-scale endpoint count (providers; consumers ride along).
 const ACCEPTANCE_PROVIDERS: u32 = 10_240;
-
-struct FlatConsumer;
-
-impl ConsumerEndpoint for FlatConsumer {
-    fn intentions(&mut self, _q: &Query, candidates: &[ProviderId]) -> Vec<(ProviderId, f64)> {
-        candidates
-            .iter()
-            .map(|&p| (p, 0.25 + 0.5 / (1.0 + p.index() as f64)))
-            .collect()
-    }
-}
-
-struct FlatProvider(f64);
-
-impl ProviderEndpoint for FlatProvider {
-    fn intention(&mut self, _q: &Query) -> f64 {
-        self.0
-    }
-    fn utilization(&mut self) -> f64 {
-        self.0.abs() / 2.0
-    }
-}
-
-/// One query per `CANDIDATES_PER_QUERY` providers: the batch that
-/// touches every provider endpoint exactly once.
-fn full_coverage_batch(providers: u32) -> Vec<(Query, Vec<ProviderId>)> {
-    (0..providers / CANDIDATES_PER_QUERY)
-        .map(|i| {
-            let query = Query::single(
-                QueryId::new(i),
-                ConsumerId::new(i % CONSUMERS),
-                QueryClass::Light,
-                SimTime::ZERO,
-            );
-            let first = i * CANDIDATES_PER_QUERY;
-            let candidates = (first..first + CANDIDATES_PER_QUERY)
-                .map(ProviderId::new)
-                .collect();
-            (query, candidates)
-        })
-        .collect()
-}
-
-/// A server with `providers` + [`CONSUMERS`] endpoints multiplexed over
-/// [`HOSTS`] participant-host threads, plus the join handles.
-fn topology(
-    providers: u32,
-) -> (
-    WaveServer,
-    Vec<std::thread::JoinHandle<std::io::Result<sqlb_transport::HostReport>>>,
-) {
-    let mut server = WaveServer::new(ServerConfig {
-        timeout: Duration::from_secs(30),
-        request_bids: false,
-    });
-    let addr = server.listen_tcp("127.0.0.1:0").expect("loopback bind");
-    let mut handles = Vec::new();
-    for h in 0..HOSTS {
-        handles.push(std::thread::spawn(move || {
-            let mut host = ParticipantHost::connect_tcp(addr)?;
-            for c in (h..CONSUMERS).step_by(HOSTS as usize) {
-                host.add_consumer(ConsumerId::new(c), FlatConsumer);
-            }
-            for p in (h..providers).step_by(HOSTS as usize) {
-                host.add_provider(
-                    ProviderId::new(p),
-                    FlatProvider(1.0 - (p % 7) as f64 * 0.25),
-                );
-            }
-            host.announce()?;
-            host.serve()
-        }));
-    }
-    server
-        .accept_hosts(HOSTS as usize, Duration::from_secs(30))
-        .expect("hosts connect");
-    assert_eq!(server.provider_count(), providers as usize);
-    assert_eq!(server.consumer_count(), CONSUMERS as usize);
-    (server, handles)
-}
 
 fn bench_socket_wave(criterion: &mut Criterion) {
     let mut group = criterion.benchmark_group("socket_wave");
     group.measurement_time(Duration::from_secs(4));
     for &providers in &[1_024u32, ACCEPTANCE_PROVIDERS] {
-        let (mut server, handles) = topology(providers);
-        let batch = full_coverage_batch(providers);
+        let (mut server, hosts) = perf::transport_topology(providers);
+        assert_eq!(server.provider_count(), providers as usize);
+        assert_eq!(server.consumer_count(), perf::TRANSPORT_CONSUMERS as usize);
+        let batch = perf::full_coverage_batch(providers);
         group.bench_function(BenchmarkId::from_parameter(providers), |b| {
             b.iter(|| {
                 let infos = server.gather(&batch);
@@ -127,45 +38,31 @@ fn bench_socket_wave(criterion: &mut Criterion) {
             })
         });
         // The acceptance check behind the bench: the wave multiplexes
-        // the full endpoint population over HOSTS connections, answers
-        // everything, and times nothing out.
+        // the full endpoint population over the host connections,
+        // answers everything, and times nothing out.
         let round = server.last_round();
-        assert_eq!(round.delivered, (CONSUMERS + providers) as usize);
+        assert_eq!(
+            round.delivered,
+            (perf::TRANSPORT_CONSUMERS + providers) as usize
+        );
         assert_eq!(round.timed_out, 0);
-        assert_eq!(server.connection_count(), HOSTS as usize);
+        assert_eq!(server.connection_count(), perf::TRANSPORT_HOSTS as usize);
         // The same full-coverage round driven as overlapped sub-waves:
         // wave t+1 is encoded and sent while wave t's replies are still
         // being collected.
-        let chunk = batch
-            .len()
-            .div_ceil(perf::TRANSPORT_PIPELINE_SUBWAVES)
-            .max(1);
         group.bench_function(BenchmarkId::new("pipelined", providers), |b| {
-            b.iter(|| {
-                for sub in batch.chunks(chunk) {
-                    while server.waves_in_flight() >= perf::TRANSPORT_PIPELINE_DEPTH {
-                        server.collect_wave().expect("a wave is in flight");
-                    }
-                    server.begin_wave(sub);
-                }
-                while server.collect_wave().is_some() {}
-                assert_eq!(server.last_round().timed_out, 0);
-            })
+            b.iter(|| perf::pipelined_round(&mut server, &batch))
         });
         server.shutdown();
-        for handle in handles {
-            assert!(handle.join().unwrap().expect("host io").clean_shutdown);
+        for host in hosts {
+            assert!(host.join().unwrap().expect("host io").clean_shutdown);
         }
     }
     group.finish();
 
-    // The dedicated measurement of the acceptance-scale round for the
-    // committed record (criterion's per-iteration mean is noisier for
-    // multi-ms rounds): best-of-5 with its median as the dispersion
-    // companion, plus the best-of-5 pipelined round — the same batch
-    // split into sub-waves with several in flight. Shares the exact
-    // topology and drive of the CI gate (`perf::measure_transport_round`)
-    // so gate and record compare like with like.
+    // Best-of-5 of the acceptance-scale round, with its median as the
+    // dispersion companion (criterion's per-iteration mean is noisier
+    // for multi-ms rounds), plus the best-of-5 pipelined round.
     let measurement = perf::measure_transport_round(ACCEPTANCE_PROVIDERS, 5);
     println!(
         "socket_wave: {} endpoints over {} hosts: best round {:.3} ms (median {:.3} ms), \
@@ -173,19 +70,9 @@ fn bench_socket_wave(criterion: &mut Criterion) {
         measurement.endpoints,
         measurement.hosts,
         measurement.round_ms,
-        measurement.median_ms.unwrap_or(f64::NAN),
-        measurement.pipelined_ms.unwrap_or(f64::NAN),
+        measurement.median_ms,
+        measurement.pipelined_ms,
     );
-
-    let label = std::env::var("BENCH_LABEL").unwrap_or_else(|_| "latest".to_string());
-    let path = perf::trajectory_path();
-    let existing = std::fs::read_to_string(path)
-        .map(|content| perf::parse_trajectory(&content))
-        .unwrap_or_default();
-    let records = perf::upsert_transport(existing, &label, measurement);
-    if let Err(e) = std::fs::write(path, perf::render_trajectory(&records)) {
-        eprintln!("warning: could not write BENCH_allocation.json: {e}");
-    }
 }
 
 criterion_group!(benches, bench_socket_wave);

@@ -88,7 +88,13 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-            let committed = parse_campaign(&content);
+            let committed = match parse_campaign(&content) {
+                Ok(committed) => committed,
+                Err(e) => {
+                    eprintln!("campaign: malformed {path}: {e}");
+                    std::process::exit(2);
+                }
+            };
             let failures = drift(&entries, &committed);
             if failures.is_empty() {
                 println!(

@@ -3,18 +3,18 @@
 //! Runs the scale points of [`perf::SCALE_POINTS`] — 10^5 and 10^6
 //! participants, split 1:2 between consumers and providers, with
 //! procedural (hash-derived) consumer preferences and providers
-//! partitioned into paper-sized shards — and records throughput plus the
-//! measured bytes-per-participant footprint into `BENCH_allocation.json`
-//! (label from `BENCH_LABEL`, default `"latest"`).
+//! partitioned into paper-sized shards — and prints throughput plus the
+//! measured bytes-per-participant footprint. Nothing is written.
 //!
 //! ```text
-//! BENCH_LABEL=PR-6 cargo run --release -p sqlb-bench --bin scale_1m
+//! cargo run --release -p sqlb-bench --bin scale_1m
 //! cargo run --release -p sqlb-bench --bin scale_1m -- --smoke
 //! ```
 //!
-//! `--smoke` runs only the cheap 10^5 point and does not touch the
-//! committed record — the CI job that proves the scale path stays alive
-//! without paying for a million-participant run.
+//! `--smoke` runs only the cheap 10^5 point: the CI job that proves the
+//! scale path stays alive without paying for a million-participant run.
+//! perfbench's `scale-100k` workload measures the same 10^5 configuration
+//! ([`perf::scale_config`]) as the benchmark of record.
 
 use sqlb_bench::perf;
 
@@ -26,7 +26,6 @@ fn main() {
         &perf::SCALE_POINTS
     };
 
-    let mut rows = Vec::new();
     for &participants in points {
         println!("scale_1m: running {participants} participants…");
         let row = perf::measure_scale(participants);
@@ -46,22 +45,5 @@ fn main() {
             row.issued_queries > 0,
             "a scale run that allocates nothing measures nothing"
         );
-        rows.push(row);
-    }
-
-    if smoke {
-        println!("scale_1m: smoke run only — committed record left untouched");
-        return;
-    }
-
-    let label = std::env::var("BENCH_LABEL").unwrap_or_else(|_| "latest".to_string());
-    let path = perf::trajectory_path();
-    let existing = std::fs::read_to_string(path)
-        .map(|content| perf::parse_trajectory(&content))
-        .unwrap_or_default();
-    let records = perf::upsert_scale(existing, &label, rows);
-    match std::fs::write(path, perf::render_trajectory(&records)) {
-        Ok(()) => println!("scale_1m: recorded under label \"{label}\" in {path}"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }
 }

@@ -1,6 +1,6 @@
 //! # sqlb-bench
 //!
-//! Benchmark harness for the SQLB reproduction. It has two parts:
+//! Benchmark harness for the SQLB reproduction. It has three parts:
 //!
 //! * **Criterion micro-benchmarks** (`benches/`) for the hot paths of the
 //!   framework: intention computation, scoring, the allocation methods and
@@ -17,8 +17,14 @@
 //!
 //!   Every binary accepts `--scale quick|default|paper` (the paper scale
 //!   reproduces Table 2 exactly but takes minutes per figure).
+//! * **Shared benchmark configurations** ([`perf`]): the shard-throughput
+//!   and scale configurations (perfbench's `scale-100k` workload is built
+//!   from [`perf::scale_config`]) and by-hand wall-clock measurements that
+//!   only print. No bench or binary here writes a file or gates on wall
+//!   clock; the CI gates are exact heap and wire counts in the root
+//!   package's tests.
 //!
-//! This module contains the tiny argument-parsing helpers shared by the
+//! The crate root holds the tiny argument-parsing helpers shared by the
 //! binaries.
 
 #![warn(missing_docs)]

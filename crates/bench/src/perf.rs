@@ -1,24 +1,27 @@
-//! Shard-throughput measurement and the tracked performance trajectory.
+//! Shared benchmark configurations and by-hand wall-clock measurements.
 //!
-//! `BENCH_allocation.json` at the repository root is the committed record
-//! of end-to-end allocation throughput over time: one record per PR, each
-//! with a row per mediator shard count. Two consumers share this module:
+//! Nothing here gates and nothing here writes a file. The benchmark
+//! every performance claim cites is `perfbench/` (its `scale-100k`
+//! workload is built from [`scale_config`]); the CI gates are exact
+//! counts, which do not drift with host speed: heap allocations in
+//! `tests/allocation_counts.rs` (including every [`bench_config`] shard
+//! count) and socket wire counters in `tests/observability.rs`. The
+//! measurements below only print, from the `allocation` and
+//! `transport_scaling` benches and the `scale_1m` binary.
 //!
-//! * the criterion bench `benches/allocation.rs` re-measures the current
-//!   tree and appends/refreshes a record (label from `BENCH_LABEL`,
-//!   default `"latest"`) while preserving the committed history;
-//! * the CI binary `perf_gate` re-measures and **fails** when throughput
-//!   drops more than [`REGRESSION_TOLERANCE`] below the last committed
-//!   record.
-//!
-//! The workspace vendors no JSON library, so the file is rendered and
-//! parsed here; the format is owned by this module and pinned by
-//! round-trip tests.
+//! `BENCH_allocation.json` at the repository root is a frozen historical
+//! record taken on other hardware; no code reads or writes it, and its
+//! numbers are not comparable with a fresh run.
 
+use std::io;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use sqlb_mediation::{ConsumerEndpoint, ProviderEndpoint};
 use sqlb_sim::engine::{run_simulation, Simulator};
 use sqlb_sim::{Method, SimulationConfig, WorkloadPattern};
+use sqlb_transport::{HostReport, ParticipantHost, ServerConfig, WaveServer};
+use sqlb_types::{ConsumerId, ProviderId, Query, QueryClass, QueryId, SimTime};
 
 /// Shard counts the throughput comparison sweeps.
 pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -34,12 +37,9 @@ pub const WORKLOAD: f64 = 0.6;
 pub const SEED: u64 = 7;
 /// Allocation method under measurement.
 pub const METHOD: Method = Method::Sqlb;
-/// Allowed throughput drop relative to the committed baseline (20 %).
-pub const REGRESSION_TOLERANCE: f64 = 0.20;
 
-/// Participant counts of the committed scale record (the `scale_1m`
-/// benchmark): the paper-extrapolation point and the million-participant
-/// point.
+/// Participant counts of the `scale_1m` benchmark: the
+/// paper-extrapolation point and the million-participant point.
 pub const SCALE_POINTS: [u64; 2] = [100_000, 1_000_000];
 /// Seed of the scale runs.
 pub const SCALE_SEED: u64 = 11;
@@ -55,20 +55,6 @@ pub const SCALE_WORKLOAD: f64 = 0.3;
 /// work stays paper-like while the population grows.
 pub const SCALE_SHARD_FANOUT: usize = 96;
 
-/// One measured row: end-to-end allocation throughput at a shard count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardMeasurement {
-    /// Number of mediator shards.
-    pub mediator_shards: usize,
-    /// Queries issued by the measured run (identical across repetitions —
-    /// the engine is deterministic per seed).
-    pub issued_queries: u64,
-    /// Best-of-N wall clock for the whole run, in milliseconds.
-    pub best_wall_ms: f64,
-    /// `issued_queries / best_wall` in allocations per second.
-    pub allocations_per_sec: f64,
-}
-
 /// One measured socket-transport wave round (the `transport_scaling`
 /// bench): how long one mediation wave touching every endpoint takes
 /// over loopback sockets.
@@ -81,16 +67,14 @@ pub struct TransportMeasurement {
     /// Best-of-N wall clock of one full wave round, in milliseconds.
     pub round_ms: f64,
     /// Median-of-N wall clock of the same rounds, in milliseconds — the
-    /// dispersion companion to the best-of-N `round_ms`. Absent on
-    /// records that predate it (pre-PR-7).
-    pub median_ms: Option<f64>,
+    /// dispersion companion to the best-of-N `round_ms`.
+    pub median_ms: f64,
     /// Best-of-N wall clock of the *pipelined* round, in milliseconds:
     /// the same batch split into [`TRANSPORT_PIPELINE_SUBWAVES`]
     /// sub-waves driven through `begin_wave`/`collect_wave` with up to
     /// [`TRANSPORT_PIPELINE_DEPTH`] waves in flight, so encoding wave
-    /// `t+1` overlaps collecting wave `t`. Absent on records that
-    /// predate pipelining (pre-PR-7).
-    pub pipelined_ms: Option<f64>,
+    /// `t+1` overlaps collecting wave `t`.
+    pub pipelined_ms: f64,
 }
 
 /// One measured scale point of the `scale_1m` benchmark: a full
@@ -120,9 +104,8 @@ pub struct ScaleMeasurement {
 
 /// The observability cost comparison: the same seeded engine run timed
 /// with instrumentation off (the default, a single-branch no-op path)
-/// and on (counters, histograms and the flight recorder live). Recorded
-/// from PR-10 on so the "zero overhead when off" claim stays a measured
-/// number, not a comment.
+/// and on (counters, histograms and the flight recorder live), so the
+/// "zero overhead when off" claim stays a measured number, not a comment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsOverheadMeasurement {
     /// Best-of-N wall clock of the uninstrumented run, in milliseconds.
@@ -134,58 +117,11 @@ pub struct ObsOverheadMeasurement {
     pub overhead_pct: f64,
 }
 
-/// One labelled record of the performance trajectory (one per PR).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrajectoryRecord {
-    /// Record label (e.g. `"PR-2"`).
-    pub label: String,
-    /// One measurement per entry of [`SHARD_COUNTS`].
-    pub shards: Vec<ShardMeasurement>,
-    /// The socket-transport round measurement, for records from PR-5 on.
-    pub transport: Option<TransportMeasurement>,
-    /// Scale-point measurements ([`SCALE_POINTS`]), for records from
-    /// PR-6 on.
-    pub scale: Vec<ScaleMeasurement>,
-    /// The instrumented-vs-off overhead measurement, for records from
-    /// PR-10 on.
-    pub obs: Option<ObsOverheadMeasurement>,
-}
-
 /// The benchmark configuration for a shard count.
 pub fn bench_config(shards: usize) -> SimulationConfig {
     SimulationConfig::scaled(CONSUMERS, PROVIDERS, DURATION_SECS, SEED)
         .with_workload(WorkloadPattern::Fixed(WORKLOAD))
         .with_mediator_shards(shards)
-}
-
-/// Measures allocation throughput for every entry of [`SHARD_COUNTS`],
-/// best-of-`runs_per_count` wall clock per entry.
-pub fn measure_shard_throughput(runs_per_count: usize) -> Vec<ShardMeasurement> {
-    SHARD_COUNTS
-        .iter()
-        .map(|&shards| {
-            let config = bench_config(shards);
-            // One untimed warmup run per shard count: the first run pays
-            // for page faults and allocator growth that best-of-N timing
-            // should not include.
-            let _ = run_simulation(config, METHOD).expect("warmup run");
-            let mut best = Duration::MAX;
-            let mut issued = 0u64;
-            for _ in 0..runs_per_count.max(1) {
-                let start = Instant::now();
-                let report = run_simulation(config, METHOD).expect("benchmark run");
-                let elapsed = start.elapsed();
-                issued = report.issued_queries;
-                best = best.min(elapsed);
-            }
-            ShardMeasurement {
-                mediator_shards: shards,
-                issued_queries: issued,
-                best_wall_ms: best.as_secs_f64() * 1e3,
-                allocations_per_sec: issued as f64 / best.as_secs_f64(),
-            }
-        })
-        .collect()
 }
 
 /// The configuration of one scale point: participants split 1:2 between
@@ -216,77 +152,83 @@ pub fn scale_config(participants: u64, seed: u64) -> SimulationConfig {
     config
 }
 
-/// Consumers of a transport gate round (matches `transport_scaling`).
+/// Consumers of a transport round.
 pub const TRANSPORT_CONSUMERS: u32 = 64;
-/// Participant-host connections of a transport gate round.
+/// Participant-host connections of a transport round.
 pub const TRANSPORT_HOSTS: u32 = 8;
-/// Candidates per query of a transport gate round.
+/// Candidates per query of a transport round: 16 keeps candidate sets
+/// realistic while letting a batch cover every provider endpoint once.
 pub const TRANSPORT_CANDIDATES_PER_QUERY: u32 = 16;
 /// Sub-waves a pipelined transport round splits its batch into.
 pub const TRANSPORT_PIPELINE_SUBWAVES: usize = 8;
 /// Maximum waves in flight while driving a pipelined transport round.
 pub const TRANSPORT_PIPELINE_DEPTH: usize = 4;
 
-/// Re-measures one socket-transport wave round at `providers` provider
-/// endpoints (plus [`TRANSPORT_CONSUMERS`] consumers) multiplexed over
-/// [`TRANSPORT_HOSTS`] loopback connections — the same topology, flat
-/// endpoints and full-coverage batch as the `transport_scaling` bench that
-/// produced the committed `transport` row, so the gate compares like with
-/// like. Records the best and median of `runs` single-wave rounds, plus
-/// the best-of-`runs` *pipelined* round (the batch split into
-/// [`TRANSPORT_PIPELINE_SUBWAVES`] sub-waves with up to
-/// [`TRANSPORT_PIPELINE_DEPTH`] in flight).
-pub fn measure_transport_round(providers: u32, runs: usize) -> TransportMeasurement {
-    use sqlb_mediation::{ConsumerEndpoint, ProviderEndpoint};
-    use sqlb_transport::{ParticipantHost, ServerConfig, WaveServer};
-    use sqlb_types::{ConsumerId, ProviderId, Query, QueryClass, QueryId, SimTime};
+struct FlatConsumer;
 
-    struct FlatConsumer;
-    impl ConsumerEndpoint for FlatConsumer {
-        fn intentions(&mut self, _q: &Query, candidates: &[ProviderId]) -> Vec<(ProviderId, f64)> {
-            candidates
-                .iter()
-                .map(|&p| (p, 0.25 + 0.5 / (1.0 + p.index() as f64)))
-                .collect()
-        }
+impl ConsumerEndpoint for FlatConsumer {
+    fn intentions(&mut self, _q: &Query, candidates: &[ProviderId]) -> Vec<(ProviderId, f64)> {
+        candidates
+            .iter()
+            .map(|&p| (p, 0.25 + 0.5 / (1.0 + p.index() as f64)))
+            .collect()
     }
-    struct FlatProvider(f64);
-    impl ProviderEndpoint for FlatProvider {
-        fn intention(&mut self, _q: &Query) -> f64 {
-            self.0
-        }
-        fn utilization(&mut self) -> f64 {
-            self.0.abs() / 2.0
-        }
-    }
+}
 
+struct FlatProvider(f64);
+
+impl ProviderEndpoint for FlatProvider {
+    fn intention(&mut self, _q: &Query) -> f64 {
+        self.0
+    }
+    fn utilization(&mut self) -> f64 {
+        self.0.abs() / 2.0
+    }
+}
+
+/// The participant-host threads of a [`transport_topology`]; join them
+/// after [`WaveServer::shutdown`].
+pub type HostThreads = Vec<JoinHandle<io::Result<HostReport>>>;
+
+/// A wave server listening on loopback TCP with `providers` flat provider
+/// endpoints plus [`TRANSPORT_CONSUMERS`] consumers, multiplexed over
+/// [`TRANSPORT_HOSTS`] participant-host threads (one socket per host, not
+/// per endpoint). Returns once every host has announced.
+pub fn transport_topology(providers: u32) -> (WaveServer, HostThreads) {
     let mut server = WaveServer::new(ServerConfig {
         timeout: Duration::from_secs(30),
         request_bids: false,
     });
     let addr = server.listen_tcp("127.0.0.1:0").expect("loopback bind");
-    let mut handles = Vec::new();
-    for h in 0..TRANSPORT_HOSTS {
-        handles.push(std::thread::spawn(move || {
-            let mut host = ParticipantHost::connect_tcp(addr)?;
-            for c in (h..TRANSPORT_CONSUMERS).step_by(TRANSPORT_HOSTS as usize) {
-                host.add_consumer(ConsumerId::new(c), FlatConsumer);
-            }
-            for p in (h..providers).step_by(TRANSPORT_HOSTS as usize) {
-                host.add_provider(
-                    ProviderId::new(p),
-                    FlatProvider(1.0 - (p % 7) as f64 * 0.25),
-                );
-            }
-            host.announce()?;
-            host.serve()
-        }));
-    }
+    let hosts = (0..TRANSPORT_HOSTS)
+        .map(|h| {
+            std::thread::spawn(move || {
+                let mut host = ParticipantHost::connect_tcp(addr)?;
+                for c in (h..TRANSPORT_CONSUMERS).step_by(TRANSPORT_HOSTS as usize) {
+                    host.add_consumer(ConsumerId::new(c), FlatConsumer);
+                }
+                for p in (h..providers).step_by(TRANSPORT_HOSTS as usize) {
+                    host.add_provider(
+                        ProviderId::new(p),
+                        FlatProvider(1.0 - (p % 7) as f64 * 0.25),
+                    );
+                }
+                host.announce()?;
+                host.serve()
+            })
+        })
+        .collect();
     server
         .accept_hosts(TRANSPORT_HOSTS as usize, Duration::from_secs(30))
         .expect("hosts connect");
+    (server, hosts)
+}
 
-    let batch: Vec<(Query, Vec<ProviderId>)> = (0..providers / TRANSPORT_CANDIDATES_PER_QUERY)
+/// One query per [`TRANSPORT_CANDIDATES_PER_QUERY`] providers: the batch
+/// that touches every provider endpoint of a [`transport_topology`]
+/// exactly once.
+pub fn full_coverage_batch(providers: u32) -> Vec<(Query, Vec<ProviderId>)> {
+    (0..providers / TRANSPORT_CANDIDATES_PER_QUERY)
         .map(|i| {
             let query = Query::single(
                 QueryId::new(i),
@@ -300,23 +242,34 @@ pub fn measure_transport_round(providers: u32, runs: usize) -> TransportMeasurem
                 .collect();
             (query, candidates)
         })
-        .collect();
+        .collect()
+}
 
-    /// One pipelined round over the whole batch: sub-waves are encoded
-    /// and sent up to the depth cap ahead of the collections.
-    fn pipelined_round(server: &mut WaveServer, batch: &[(Query, Vec<ProviderId>)]) {
-        let chunk = batch.len().div_ceil(TRANSPORT_PIPELINE_SUBWAVES).max(1);
-        for sub in batch.chunks(chunk) {
-            while server.waves_in_flight() >= TRANSPORT_PIPELINE_DEPTH {
-                server.collect_wave().expect("a wave is in flight");
-                assert_eq!(server.last_round().timed_out, 0);
-            }
-            server.begin_wave(sub);
-        }
-        while server.collect_wave().is_some() {
+/// One pipelined round over the whole batch: the batch is split into
+/// [`TRANSPORT_PIPELINE_SUBWAVES`] sub-waves, each encoded and sent while
+/// up to [`TRANSPORT_PIPELINE_DEPTH`] earlier ones are still being
+/// collected. Panics if any reply times out.
+pub fn pipelined_round(server: &mut WaveServer, batch: &[(Query, Vec<ProviderId>)]) {
+    let chunk = batch.len().div_ceil(TRANSPORT_PIPELINE_SUBWAVES).max(1);
+    for sub in batch.chunks(chunk) {
+        while server.waves_in_flight() >= TRANSPORT_PIPELINE_DEPTH {
+            server.collect_wave().expect("a wave is in flight");
             assert_eq!(server.last_round().timed_out, 0);
         }
+        server.begin_wave(sub);
     }
+    while server.collect_wave().is_some() {
+        assert_eq!(server.last_round().timed_out, 0);
+    }
+}
+
+/// Times one socket-transport wave round at `providers` provider
+/// endpoints over a [`transport_topology`] with the
+/// [`full_coverage_batch`]: the best and median of `runs` single-wave
+/// rounds, plus the best-of-`runs` [`pipelined_round`].
+pub fn measure_transport_round(providers: u32, runs: usize) -> TransportMeasurement {
+    let (mut server, hosts) = transport_topology(providers);
+    let batch = full_coverage_batch(providers);
 
     let _ = server.gather(&batch); // warmup
     let mut rounds = Vec::new();
@@ -341,15 +294,15 @@ pub fn measure_transport_round(providers: u32, runs: usize) -> TransportMeasurem
     }
 
     server.shutdown();
-    for handle in handles {
-        handle.join().expect("host thread").expect("host io");
+    for host in hosts {
+        host.join().expect("host thread").expect("host io");
     }
     TransportMeasurement {
         endpoints: (providers + TRANSPORT_CONSUMERS) as usize,
         hosts: TRANSPORT_HOSTS as usize,
         round_ms: best.as_secs_f64() * 1e3,
-        median_ms: Some(median.as_secs_f64() * 1e3),
-        pipelined_ms: Some(pipelined_best.as_secs_f64() * 1e3),
+        median_ms: median.as_secs_f64() * 1e3,
+        pipelined_ms: pipelined_best.as_secs_f64() * 1e3,
     }
 }
 
@@ -430,695 +383,9 @@ pub fn measure_scale(participants: u64) -> ScaleMeasurement {
     }
 }
 
-/// Renders the full trajectory file.
-pub fn render_trajectory(records: &[TrajectoryRecord]) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"allocation_throughput\",\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"consumers\": {CONSUMERS}, \"providers\": {PROVIDERS}, \"duration_secs\": {DURATION_SECS}, \"workload\": {WORKLOAD}, \"method\": \"{}\"}},\n",
-        METHOD.name(),
-    ));
-    out.push_str("  \"records\": [\n");
-    for (r, record) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"shards\": [\n",
-            record.label
-        ));
-        for (i, row) in record.shards.iter().enumerate() {
-            let comma = if i + 1 < record.shards.len() { "," } else { "" };
-            out.push_str(&format!(
-                "      {{\"mediator_shards\": {}, \"issued_queries\": {}, \"best_wall_ms\": {:.3}, \"allocations_per_sec\": {:.1}}}{comma}\n",
-                row.mediator_shards, row.issued_queries, row.best_wall_ms, row.allocations_per_sec,
-            ));
-        }
-        let comma = if r + 1 < records.len() { "," } else { "" };
-        out.push_str("    ]");
-        if let Some(transport) = &record.transport {
-            out.push_str(&format!(
-                ", \"transport\": {{\"endpoints\": {}, \"hosts\": {}, \"round_ms\": {:.3}",
-                transport.endpoints, transport.hosts, transport.round_ms,
-            ));
-            if let Some(median) = transport.median_ms {
-                out.push_str(&format!(", \"median_ms\": {median:.3}"));
-            }
-            if let Some(pipelined) = transport.pipelined_ms {
-                out.push_str(&format!(", \"pipelined_ms\": {pipelined:.3}"));
-            }
-            out.push('}');
-        }
-        if !record.scale.is_empty() {
-            out.push_str(", \"scale\": [\n");
-            for (i, row) in record.scale.iter().enumerate() {
-                let scale_comma = if i + 1 < record.scale.len() { "," } else { "" };
-                out.push_str(&format!(
-                    "      {{\"participants\": {}, \"consumers\": {}, \"providers\": {}, \"mediator_shards\": {}, \"issued_queries\": {}, \"wall_ms\": {:.3}, \"allocations_per_sec\": {:.1}, \"bytes_per_participant\": {:.1}}}{scale_comma}\n",
-                    row.participants, row.consumers, row.providers, row.mediator_shards,
-                    row.issued_queries, row.wall_ms, row.allocations_per_sec,
-                    row.bytes_per_participant,
-                ));
-            }
-            out.push_str("    ]");
-        }
-        if let Some(obs) = &record.obs {
-            out.push_str(&format!(
-                ", \"obs\": {{\"off_wall_ms\": {:.3}, \"on_wall_ms\": {:.3}, \"overhead_pct\": {:.2}}}",
-                obs.off_wall_ms, obs.on_wall_ms, obs.overhead_pct,
-            ));
-        }
-        out.push_str(&format!("}}{comma}\n"));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let start = line.find(key)? + key.len();
-    let rest = line[start..].trim_start_matches([':', ' ', '"']);
-    let end = rest.find([',', '}', '"']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-/// Parses a trajectory file produced by [`render_trajectory`] (the
-/// pre-trajectory single-record format is accepted too: its shard rows
-/// are collected under a `"PR-1"` label).
-pub fn parse_trajectory(content: &str) -> Vec<TrajectoryRecord> {
-    let mut records: Vec<TrajectoryRecord> = Vec::new();
-    for line in content.lines() {
-        if let Some(label) = field(line, "\"label\"") {
-            records.push(TrajectoryRecord {
-                label: label.to_string(),
-                shards: Vec::new(),
-                transport: None,
-                scale: Vec::new(),
-                obs: None,
-            });
-        }
-        if line.contains("\"transport\"") {
-            if let Some(record) = records.last_mut() {
-                record.transport = Some(TransportMeasurement {
-                    endpoints: field(line, "\"endpoints\"")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0),
-                    hosts: field(line, "\"hosts\"")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0),
-                    round_ms: field(line, "\"round_ms\"")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0.0),
-                    median_ms: field(line, "\"median_ms\"").and_then(|v| v.parse().ok()),
-                    pipelined_ms: field(line, "\"pipelined_ms\"").and_then(|v| v.parse().ok()),
-                });
-            }
-        }
-        if line.contains("\"obs\"") {
-            if let Some(record) = records.last_mut() {
-                record.obs = Some(ObsOverheadMeasurement {
-                    off_wall_ms: field(line, "\"off_wall_ms\"")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0.0),
-                    on_wall_ms: field(line, "\"on_wall_ms\"")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0.0),
-                    overhead_pct: field(line, "\"overhead_pct\"")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0.0),
-                });
-            }
-        }
-        if line.contains("\"participants\"") {
-            // A scale row also carries "mediator_shards"; it must be
-            // recognized before the shard-row branch below.
-            if let Some(record) = records.last_mut() {
-                record.scale.push(ScaleMeasurement {
-                    participants: field(line, "\"participants\"")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0),
-                    consumers: field(line, "\"consumers\"")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0),
-                    providers: field(line, "\"providers\"")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0),
-                    mediator_shards: field(line, "\"mediator_shards\"")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0),
-                    issued_queries: field(line, "\"issued_queries\"")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0),
-                    wall_ms: field(line, "\"wall_ms\"")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0.0),
-                    allocations_per_sec: field(line, "\"allocations_per_sec\"")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0.0),
-                    bytes_per_participant: field(line, "\"bytes_per_participant\"")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0.0),
-                });
-            }
-            continue;
-        }
-        if line.contains("\"mediator_shards\"") {
-            let row = ShardMeasurement {
-                mediator_shards: field(line, "\"mediator_shards\"")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0),
-                issued_queries: field(line, "\"issued_queries\"")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0),
-                best_wall_ms: field(line, "\"best_wall_ms\"")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0.0),
-                allocations_per_sec: field(line, "\"allocations_per_sec\"")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0.0),
-            };
-            if records.is_empty() {
-                records.push(TrajectoryRecord {
-                    label: "PR-1".to_string(),
-                    shards: Vec::new(),
-                    transport: None,
-                    scale: Vec::new(),
-                    obs: None,
-                });
-            }
-            records.last_mut().expect("record exists").shards.push(row);
-        }
-    }
-    records
-}
-
-/// Replaces the record with `label` (or appends it) and returns the new
-/// trajectory. A transport measurement already attached to the record is
-/// preserved (the shard and transport benches write independently).
-pub fn upsert_record(
-    mut records: Vec<TrajectoryRecord>,
-    label: &str,
-    shards: Vec<ShardMeasurement>,
-) -> Vec<TrajectoryRecord> {
-    match records.iter_mut().find(|r| r.label == label) {
-        Some(existing) => existing.shards = shards,
-        None => records.push(TrajectoryRecord {
-            label: label.to_string(),
-            shards,
-            transport: None,
-            scale: Vec::new(),
-            obs: None,
-        }),
-    }
-    records
-}
-
-/// Attaches a transport round measurement to the record with `label`
-/// (creating the record, with no shard rows yet, if needed).
-pub fn upsert_transport(
-    mut records: Vec<TrajectoryRecord>,
-    label: &str,
-    transport: TransportMeasurement,
-) -> Vec<TrajectoryRecord> {
-    match records.iter_mut().find(|r| r.label == label) {
-        Some(existing) => existing.transport = Some(transport),
-        None => records.push(TrajectoryRecord {
-            label: label.to_string(),
-            shards: Vec::new(),
-            transport: Some(transport),
-            scale: Vec::new(),
-            obs: None,
-        }),
-    }
-    records
-}
-
-/// Replaces the scale rows of the record with `label` (creating the
-/// record if needed). Shard and transport rows already attached are
-/// preserved — the three benches write independently.
-pub fn upsert_scale(
-    mut records: Vec<TrajectoryRecord>,
-    label: &str,
-    scale: Vec<ScaleMeasurement>,
-) -> Vec<TrajectoryRecord> {
-    match records.iter_mut().find(|r| r.label == label) {
-        Some(existing) => existing.scale = scale,
-        None => records.push(TrajectoryRecord {
-            label: label.to_string(),
-            shards: Vec::new(),
-            transport: None,
-            scale,
-            obs: None,
-        }),
-    }
-    records
-}
-
-/// Attaches an observability-overhead measurement to the record with
-/// `label` (creating the record if needed). Rows the other benches wrote
-/// are preserved.
-pub fn upsert_obs(
-    mut records: Vec<TrajectoryRecord>,
-    label: &str,
-    obs: ObsOverheadMeasurement,
-) -> Vec<TrajectoryRecord> {
-    match records.iter_mut().find(|r| r.label == label) {
-        Some(existing) => existing.obs = Some(obs),
-        None => records.push(TrajectoryRecord {
-            label: label.to_string(),
-            shards: Vec::new(),
-            transport: None,
-            scale: Vec::new(),
-            obs: Some(obs),
-        }),
-    }
-    records
-}
-
-/// Gates the socket-transport round against a committed baseline row:
-/// one failure per gated rate (the single-wave round, and the pipelined
-/// round when the baseline carries it) that moves endpoints more than
-/// `tolerance` slower than the baseline did. Comparing endpoint rates
-/// (endpoints per millisecond) keeps the check meaningful even if the
-/// swept endpoint count changes between records.
-pub fn transport_regression_failures(
-    baseline: &TransportMeasurement,
-    measured: &TransportMeasurement,
-    tolerance: f64,
-) -> Vec<String> {
-    let gate = |kind: &str, base_ms: f64, measured_ms: f64| -> Option<String> {
-        let base_rate = baseline.endpoints as f64 / base_ms;
-        let measured_rate = measured.endpoints as f64 / measured_ms;
-        let floor = base_rate * (1.0 - tolerance);
-        (measured_rate < floor).then(|| {
-            format!(
-                "transport ({kind}): {:.1} endpoints/ms ({} endpoints in {:.3} ms) is below \
-                 the regression floor {:.1} ({:.1} committed, tolerance {:.0}%)",
-                measured_rate,
-                measured.endpoints,
-                measured_ms,
-                floor,
-                base_rate,
-                tolerance * 100.0,
-            )
-        })
-    };
-    let mut failures = Vec::new();
-    failures.extend(gate("single wave", baseline.round_ms, measured.round_ms));
-    // The pipelined round is gated only when the committed record has one
-    // (older records predate pipelining) and the fresh measurement ran it.
-    if let (Some(base), Some(now)) = (baseline.pipelined_ms, measured.pipelined_ms) {
-        failures.extend(gate("pipelined", base, now));
-    }
-    failures
-}
-
-/// Gates the scale rows against a committed baseline: one failure per
-/// measured participant count whose throughput dropped more than
-/// `tolerance` below the committed row. Baseline rows with no fresh
-/// measurement are ignored (the CI gate only re-runs the cheap points).
-pub fn scale_regression_failures(
-    baseline: &[ScaleMeasurement],
-    measured: &[ScaleMeasurement],
-    tolerance: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for now in measured {
-        let Some(base) = baseline.iter().find(|b| b.participants == now.participants) else {
-            continue;
-        };
-        let floor = base.allocations_per_sec * (1.0 - tolerance);
-        if now.allocations_per_sec < floor {
-            failures.push(format!(
-                "scale {}: {:.1} allocations/s is below the regression floor {:.1} \
-                 ({:.1} committed, tolerance {:.0}%)",
-                now.participants,
-                now.allocations_per_sec,
-                floor,
-                base.allocations_per_sec,
-                tolerance * 100.0,
-            ));
-        }
-    }
-    failures
-}
-
-/// Merges two measurement passes, keeping the best (fastest) observation
-/// per shard count. Used by the regression gate to absorb transient
-/// contention on shared CI runners: a genuine regression stays slow on
-/// every pass, noise does not.
-pub fn merge_best(a: Vec<ShardMeasurement>, b: &[ShardMeasurement]) -> Vec<ShardMeasurement> {
-    a.into_iter()
-        .map(
-            |row| match b.iter().find(|m| m.mediator_shards == row.mediator_shards) {
-                Some(other) if other.allocations_per_sec > row.allocations_per_sec => other.clone(),
-                _ => row,
-            },
-        )
-        .collect()
-}
-
-/// Compares a fresh measurement against a baseline record: returns one
-/// human-readable failure per shard count whose throughput dropped more
-/// than `tolerance` below the baseline.
-pub fn regression_failures(
-    baseline: &TrajectoryRecord,
-    measured: &[ShardMeasurement],
-    tolerance: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for base in &baseline.shards {
-        let Some(now) = measured
-            .iter()
-            .find(|m| m.mediator_shards == base.mediator_shards)
-        else {
-            failures.push(format!(
-                "K={}: baseline has a row but nothing was measured",
-                base.mediator_shards
-            ));
-            continue;
-        };
-        let floor = base.allocations_per_sec * (1.0 - tolerance);
-        if now.allocations_per_sec < floor {
-            failures.push(format!(
-                "K={}: {:.1} allocations/s is below the regression floor {:.1} \
-                 ({:.1} committed in record \"{}\", tolerance {:.0}%)",
-                base.mediator_shards,
-                now.allocations_per_sec,
-                floor,
-                base.allocations_per_sec,
-                baseline.label,
-                tolerance * 100.0,
-            ));
-        }
-    }
-    failures
-}
-
-/// Path of the committed trajectory file (repo root).
-pub fn trajectory_path() -> &'static str {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_allocation.json")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn record(label: &str, throughput: f64) -> TrajectoryRecord {
-        TrajectoryRecord {
-            label: label.to_string(),
-            transport: None,
-            scale: Vec::new(),
-            obs: None,
-            shards: vec![
-                ShardMeasurement {
-                    mediator_shards: 1,
-                    issued_queries: 5753,
-                    best_wall_ms: 40.0,
-                    allocations_per_sec: throughput,
-                },
-                ShardMeasurement {
-                    mediator_shards: 2,
-                    issued_queries: 5753,
-                    best_wall_ms: 20.0,
-                    allocations_per_sec: throughput * 2.0,
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn trajectory_round_trips_through_render_and_parse() {
-        let records = vec![record("PR-1", 99000.0), record("PR-2", 150000.0)];
-        let parsed = parse_trajectory(&render_trajectory(&records));
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].label, "PR-1");
-        assert_eq!(parsed[1].label, "PR-2");
-        assert_eq!(parsed[0].shards.len(), 2);
-        assert_eq!(parsed[1].shards[0].mediator_shards, 1);
-        assert_eq!(parsed[1].shards[0].issued_queries, 5753);
-        assert!((parsed[1].shards[0].allocations_per_sec - 150000.0).abs() < 0.1);
-        assert!((parsed[0].shards[1].best_wall_ms - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parse_accepts_the_legacy_single_record_format() {
-        let legacy = r#"{
-  "benchmark": "allocation_throughput",
-  "config": {"consumers": 32, "providers": 64},
-  "shards": [
-    {"mediator_shards": 1, "issued_queries": 5753, "best_wall_ms": 58.086, "allocations_per_sec": 99043.6},
-    {"mediator_shards": 8, "issued_queries": 5753, "best_wall_ms": 13.339, "allocations_per_sec": 431286.4}
-  ]
-}"#;
-        let parsed = parse_trajectory(legacy);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].label, "PR-1");
-        assert_eq!(parsed[0].shards.len(), 2);
-        assert!((parsed[0].shards[0].allocations_per_sec - 99043.6).abs() < 0.1);
-        assert_eq!(parsed[0].shards[1].mediator_shards, 8);
-    }
-
-    #[test]
-    fn transport_measurements_round_trip_and_survive_shard_upserts() {
-        let mut with_transport = record("PR-5", 180000.0);
-        with_transport.transport = Some(TransportMeasurement {
-            endpoints: 10_304,
-            hosts: 8,
-            round_ms: 41.5,
-            median_ms: None,
-            pipelined_ms: None,
-        });
-        let records = vec![record("PR-4", 170000.0), with_transport.clone()];
-        let parsed = parse_trajectory(&render_trajectory(&records));
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].transport, None, "older records carry none");
-        let transport = parsed[1].transport.as_ref().unwrap();
-        assert_eq!(transport.endpoints, 10_304);
-        assert_eq!(transport.hosts, 8);
-        assert!((transport.round_ms - 41.5).abs() < 1e-9);
-        assert_eq!(
-            transport.median_ms, None,
-            "a pre-dispersion row stays bare through a round trip"
-        );
-        assert_eq!(transport.pipelined_ms, None);
-
-        // Re-measuring the shard rows must not drop the transport row.
-        let records = upsert_record(parsed, "PR-5", record("PR-5", 190000.0).shards);
-        assert!(records[1].transport.is_some());
-        // And the transport row can be written first, creating the record.
-        let records = upsert_transport(
-            Vec::new(),
-            "PR-6",
-            TransportMeasurement {
-                endpoints: 1,
-                hosts: 1,
-                round_ms: 0.5,
-                median_ms: None,
-                pipelined_ms: None,
-            },
-        );
-        assert_eq!(records[0].label, "PR-6");
-        assert!(records[0].shards.is_empty());
-        let reparsed = parse_trajectory(&render_trajectory(&records));
-        assert_eq!(reparsed[0].transport.as_ref().unwrap().endpoints, 1);
-    }
-
-    #[test]
-    fn transport_dispersion_and_pipelined_rows_round_trip() {
-        let mut with_transport = record("PR-7", 200000.0);
-        with_transport.transport = Some(TransportMeasurement {
-            endpoints: 10_304,
-            hosts: 8,
-            round_ms: 11.25,
-            median_ms: Some(12.5),
-            pipelined_ms: Some(7.75),
-        });
-        let parsed = parse_trajectory(&render_trajectory(&[with_transport.clone()]));
-        assert_eq!(parsed[0].transport, with_transport.transport);
-    }
-
-    fn scale_row(participants: u64, throughput: f64) -> ScaleMeasurement {
-        ScaleMeasurement {
-            participants,
-            consumers: (participants / 3) as u32,
-            providers: (participants - participants / 3) as u32,
-            mediator_shards: 1024,
-            issued_queries: 140_000,
-            wall_ms: 950.0,
-            allocations_per_sec: throughput,
-            bytes_per_participant: 412.5,
-        }
-    }
-
-    #[test]
-    fn scale_rows_round_trip_and_survive_other_upserts() {
-        let mut with_scale = record("PR-6", 240000.0);
-        with_scale.scale = vec![scale_row(100_000, 150000.0), scale_row(1_000_000, 120000.0)];
-        let records = vec![record("PR-5", 180000.0), with_scale];
-        let parsed = parse_trajectory(&render_trajectory(&records));
-        assert_eq!(parsed.len(), 2);
-        assert!(parsed[0].scale.is_empty(), "older records carry none");
-        assert_eq!(parsed[1].scale.len(), 2);
-        let row = &parsed[1].scale[1];
-        assert_eq!(row.participants, 1_000_000);
-        assert_eq!(row.consumers, 333_333);
-        assert_eq!(row.providers, 666_667);
-        assert_eq!(row.mediator_shards, 1024);
-        assert_eq!(row.issued_queries, 140_000);
-        assert!((row.wall_ms - 950.0).abs() < 1e-9);
-        assert!((row.allocations_per_sec - 120000.0).abs() < 0.1);
-        assert!((row.bytes_per_participant - 412.5).abs() < 1e-9);
-        // Scale rows must not be swallowed by the shard-row parser even
-        // though they also carry a "mediator_shards" key.
-        assert_eq!(parsed[1].shards.len(), 2);
-
-        // Re-upserting shard rows keeps the scale rows, and vice versa.
-        let records = upsert_record(parsed, "PR-6", record("PR-6", 250000.0).shards);
-        assert_eq!(records[1].scale.len(), 2);
-        let records = upsert_scale(records, "PR-6", vec![scale_row(100_000, 160000.0)]);
-        assert_eq!(records[1].scale.len(), 1);
-        assert_eq!(records[1].shards.len(), 2);
-        // And upsert_scale creates a fresh record when the label is new.
-        let records = upsert_scale(Vec::new(), "PR-7", vec![scale_row(100_000, 1.0)]);
-        assert_eq!(records[0].label, "PR-7");
-        assert!(records[0].shards.is_empty());
-    }
-
-    #[test]
-    fn obs_overhead_rows_round_trip_and_survive_other_upserts() {
-        let mut with_obs = record("PR-10", 260000.0);
-        with_obs.obs = Some(ObsOverheadMeasurement {
-            off_wall_ms: 38.125,
-            on_wall_ms: 38.5,
-            overhead_pct: 0.98,
-        });
-        // A record carrying transport AND scale AND obs renders each row
-        // on its own parseable line.
-        with_obs.transport = Some(TransportMeasurement {
-            endpoints: 10_304,
-            hosts: 8,
-            round_ms: 9.5,
-            median_ms: Some(9.9),
-            pipelined_ms: Some(8.8),
-        });
-        with_obs.scale = vec![scale_row(100_000, 150000.0)];
-        let records = vec![record("PR-9", 250000.0), with_obs.clone()];
-        let parsed = parse_trajectory(&render_trajectory(&records));
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].obs, None, "older records carry none");
-        let obs = parsed[1].obs.as_ref().unwrap();
-        assert!((obs.off_wall_ms - 38.125).abs() < 1e-9);
-        assert!((obs.on_wall_ms - 38.5).abs() < 1e-9);
-        assert!((obs.overhead_pct - 0.98).abs() < 1e-9);
-        assert_eq!(parsed[1].transport, with_obs.transport);
-        assert_eq!(parsed[1].scale.len(), 1);
-        assert_eq!(parsed[1].shards.len(), 2);
-
-        // The obs row survives re-upserts of the other rows, and its own
-        // upsert preserves theirs (or creates a fresh record).
-        let records = upsert_record(parsed, "PR-10", record("PR-10", 270000.0).shards);
-        assert!(records[1].obs.is_some());
-        let records = upsert_obs(
-            records,
-            "PR-10",
-            ObsOverheadMeasurement {
-                off_wall_ms: 40.0,
-                on_wall_ms: 40.4,
-                overhead_pct: 1.0,
-            },
-        );
-        assert!((records[1].obs.as_ref().unwrap().off_wall_ms - 40.0).abs() < 1e-9);
-        assert_eq!(records[1].shards.len(), 2);
-        assert!(records[1].transport.is_some());
-        let records = upsert_obs(
-            Vec::new(),
-            "PR-11",
-            ObsOverheadMeasurement {
-                off_wall_ms: 1.0,
-                on_wall_ms: 1.0,
-                overhead_pct: 0.0,
-            },
-        );
-        assert_eq!(records[0].label, "PR-11");
-        assert!(records[0].shards.is_empty());
-    }
-
-    #[test]
-    fn transport_gate_compares_endpoint_rates() {
-        let base = TransportMeasurement {
-            endpoints: 10_304,
-            hosts: 8,
-            round_ms: 10.0,
-            median_ms: None,
-            pipelined_ms: None,
-        };
-        // Same rate: fine.
-        assert!(transport_regression_failures(&base, &base, 0.2).is_empty());
-        // 10% slower: within a 20% tolerance.
-        let slower = TransportMeasurement {
-            round_ms: 11.0,
-            ..base.clone()
-        };
-        assert!(transport_regression_failures(&base, &slower, 0.2).is_empty());
-        // 2x slower: trips.
-        let slow = TransportMeasurement {
-            round_ms: 20.0,
-            ..base.clone()
-        };
-        let failures = transport_regression_failures(&base, &slow, 0.2);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("transport"));
-        // A different endpoint count still compares fairly (per-ms rate):
-        // half the endpoints in half the time is the same rate.
-        let half = TransportMeasurement {
-            endpoints: 5_152,
-            hosts: 8,
-            round_ms: 5.0,
-            median_ms: None,
-            pipelined_ms: None,
-        };
-        assert!(transport_regression_failures(&base, &half, 0.2).is_empty());
-    }
-
-    #[test]
-    fn transport_gate_covers_the_pipelined_round_when_committed() {
-        let base = TransportMeasurement {
-            endpoints: 10_304,
-            hosts: 8,
-            round_ms: 10.0,
-            median_ms: Some(11.0),
-            pipelined_ms: Some(6.0),
-        };
-        // Healthy single wave, regressed pipelined round: one failure,
-        // naming the pipelined rate.
-        let slow_pipeline = TransportMeasurement {
-            pipelined_ms: Some(12.0),
-            ..base.clone()
-        };
-        let failures = transport_regression_failures(&base, &slow_pipeline, 0.2);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("pipelined"), "{}", failures[0]);
-        // A measurement with no pipelined round (or a baseline without
-        // one) skips that gate instead of failing vacuously.
-        let bare = TransportMeasurement {
-            pipelined_ms: None,
-            ..base.clone()
-        };
-        assert!(transport_regression_failures(&base, &bare, 0.2).is_empty());
-        assert!(transport_regression_failures(&bare, &base, 0.2).is_empty());
-    }
-
-    #[test]
-    fn scale_gate_trips_only_on_matching_regressed_points() {
-        let baseline = vec![scale_row(100_000, 100000.0), scale_row(1_000_000, 80000.0)];
-        // Only the cheap point measured, within tolerance: fine.
-        let ok = vec![scale_row(100_000, 85000.0)];
-        assert!(scale_regression_failures(&baseline, &ok, 0.2).is_empty());
-        // Regressed past tolerance: trips, naming the participant count.
-        let bad = vec![scale_row(100_000, 70000.0)];
-        let failures = scale_regression_failures(&baseline, &bad, 0.2);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("100000"));
-        // A measured point with no committed row is not a failure.
-        let unknown = vec![scale_row(50_000, 1.0)];
-        assert!(scale_regression_failures(&baseline, &unknown, 0.2).is_empty());
-    }
 
     #[test]
     fn scale_config_is_valid_and_procedural_at_both_points() {
@@ -1140,68 +407,5 @@ mod tests {
                 "providers per shard {per_shard} strays from the fan-out target"
             );
         }
-    }
-
-    #[test]
-    fn upsert_replaces_matching_label_and_appends_new() {
-        let records = vec![record("PR-1", 99000.0)];
-        let records = upsert_record(records, "PR-2", record("PR-2", 150000.0).shards);
-        assert_eq!(records.len(), 2);
-        let records = upsert_record(records, "PR-2", record("PR-2", 160000.0).shards);
-        assert_eq!(records.len(), 2);
-        assert!((records[1].shards[0].allocations_per_sec - 160000.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn merge_best_keeps_the_faster_observation_per_shard_count() {
-        let first = record("a", 90000.0).shards;
-        let mut second = record("b", 100000.0).shards;
-        second[1].allocations_per_sec = 100.0; // second pass slower at K=2
-        let merged = merge_best(first, &second);
-        assert!((merged[0].allocations_per_sec - 100000.0).abs() < 0.1);
-        assert!((merged[1].allocations_per_sec - 180000.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn regression_gate_trips_only_past_tolerance() {
-        let baseline = record("PR-2", 100000.0);
-        // 15 % below: fine at 20 % tolerance.
-        let ok = vec![
-            ShardMeasurement {
-                mediator_shards: 1,
-                issued_queries: 5753,
-                best_wall_ms: 47.0,
-                allocations_per_sec: 85000.0,
-            },
-            ShardMeasurement {
-                mediator_shards: 2,
-                issued_queries: 5753,
-                best_wall_ms: 23.0,
-                allocations_per_sec: 170000.0,
-            },
-        ];
-        assert!(regression_failures(&baseline, &ok, REGRESSION_TOLERANCE).is_empty());
-        // 25 % below on one shard count: trips.
-        let bad = vec![
-            ShardMeasurement {
-                mediator_shards: 1,
-                issued_queries: 5753,
-                best_wall_ms: 53.0,
-                allocations_per_sec: 75000.0,
-            },
-            ShardMeasurement {
-                mediator_shards: 2,
-                issued_queries: 5753,
-                best_wall_ms: 23.0,
-                allocations_per_sec: 170000.0,
-            },
-        ];
-        let failures = regression_failures(&baseline, &bad, REGRESSION_TOLERANCE);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("K=1"));
-        // A missing shard count is also a failure.
-        let failures = regression_failures(&baseline, &ok[..1], REGRESSION_TOLERANCE);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("K=2"));
     }
 }

@@ -8,18 +8,20 @@
 //! of work on matchmaking … so we do not focus on this problem and we
 //! assume there exists one in the system that is sound and complete").
 //!
-//! This crate provides that substrate:
+//! This crate provides that substrate: [`CapabilityRegistry`] — providers
+//! declare their capabilities ("Providers declare their capabilities for
+//! performing queries to the mediator", Section 1) as a set of topics and
+//! attributes, and [`CapabilityRegistry::matching_providers`] returns the
+//! sound and complete `P_q` of a query description: every provider that
+//! declares a capability whose topic is a path prefix of the query topic
+//! and which covers every attribute the query requires.
 //!
-//! * [`CapabilityRegistry`] — providers declare their capabilities
-//!   ("Providers declare their capabilities for performing queries to the
-//!   mediator", Section 1) as a set of topics and attributes;
-//! * the [`Matchmaker`] trait — anything that maps a query description to a
-//!   candidate set;
-//! * [`TopicMatchmaker`] — matches on topic prefixes and required
-//!   attributes;
-//! * [`UniversalMatchmaker`] — the degenerate matcher used by the paper's
-//!   evaluation, where "all the providers in the system are able to perform
-//!   all the incoming queries" (Section 6.1).
+//! The paper's evaluation uses the degenerate case where "all the
+//! providers in the system are able to perform all the incoming queries"
+//! (Section 6.1); the simulator models that by handing each shard's full
+//! provider set to the allocator, and filters through this registry only
+//! when capability matchmaking is switched on (`sqlb-sim`'s
+//! `ClassMatchmaker`).
 
 #![warn(missing_docs)]
 
@@ -27,168 +29,13 @@ pub mod registry;
 
 pub use registry::{Capability, CapabilityRegistry};
 
-use sqlb_types::{ProviderId, Query};
-
-/// Computes the set `P_q` of providers able to treat a query.
-///
-/// Implementations must be *sound* (no provider in the result is unable to
-/// treat the query, given the declared capabilities) and *complete* (every
-/// capable provider is returned).
-pub trait Matchmaker {
-    /// Returns the identifiers of the providers able to treat `query`, in
-    /// ascending identifier order.
-    fn candidates(&self, query: &Query) -> Vec<ProviderId>;
-
-    /// Returns `true` if the query is feasible, i.e. at least one provider
-    /// can treat it. The paper only considers feasible queries; the
-    /// simulator uses this to filter the workload it generates.
-    fn is_feasible(&self, query: &Query) -> bool {
-        !self.candidates(query).is_empty()
-    }
-}
-
-/// The matcher used by the paper's experiments: every registered provider
-/// matches every query.
-#[derive(Debug, Clone, Default)]
-pub struct UniversalMatchmaker {
-    providers: Vec<ProviderId>,
-}
-
-impl UniversalMatchmaker {
-    /// Creates a universal matcher over `n` providers with identifiers
-    /// `0..n`.
-    pub fn with_providers(n: u32) -> Self {
-        UniversalMatchmaker {
-            providers: (0..n).map(ProviderId::new).collect(),
-        }
-    }
-
-    /// Creates a universal matcher over an explicit provider set.
-    pub fn new(mut providers: Vec<ProviderId>) -> Self {
-        providers.sort_unstable();
-        providers.dedup();
-        UniversalMatchmaker { providers }
-    }
-
-    /// Removes a provider (used when it departs from the system).
-    pub fn remove(&mut self, provider: ProviderId) {
-        self.providers.retain(|p| *p != provider);
-    }
-
-    /// Adds a provider (used when it registers with the mediator).
-    pub fn add(&mut self, provider: ProviderId) {
-        if let Err(pos) = self.providers.binary_search(&provider) {
-            self.providers.insert(pos, provider);
-        }
-    }
-
-    /// Number of registered providers.
-    pub fn len(&self) -> usize {
-        self.providers.len()
-    }
-
-    /// Whether no provider is registered.
-    pub fn is_empty(&self) -> bool {
-        self.providers.is_empty()
-    }
-}
-
-impl Matchmaker for UniversalMatchmaker {
-    fn candidates(&self, _query: &Query) -> Vec<ProviderId> {
-        self.providers.clone()
-    }
-}
-
-/// A topic- and attribute-based matchmaker backed by a
-/// [`CapabilityRegistry`].
-///
-/// A provider matches a query when it declares a capability whose topic is
-/// a prefix of the query topic (hierarchical topics, e.g. a provider
-/// declaring `shipping` matches `shipping/international`) and which covers
-/// every attribute required by the query.
-#[derive(Debug, Clone, Default)]
-pub struct TopicMatchmaker {
-    registry: CapabilityRegistry,
-}
-
-impl TopicMatchmaker {
-    /// Creates a matcher over an existing registry.
-    pub fn new(registry: CapabilityRegistry) -> Self {
-        TopicMatchmaker { registry }
-    }
-
-    /// Access to the underlying registry (e.g. to register or deregister
-    /// providers at run time).
-    pub fn registry_mut(&mut self) -> &mut CapabilityRegistry {
-        &mut self.registry
-    }
-
-    /// Read access to the underlying registry.
-    pub fn registry(&self) -> &CapabilityRegistry {
-        &self.registry
-    }
-}
-
-impl Matchmaker for TopicMatchmaker {
-    fn candidates(&self, query: &Query) -> Vec<ProviderId> {
-        self.registry.matching_providers(&query.description)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlb_types::{ConsumerId, QueryClass, QueryDescription, QueryId, SimTime};
+    use sqlb_types::{ProviderId, QueryClass, QueryDescription};
 
-    fn query_with_topic(topic: &str) -> Query {
-        Query {
-            id: QueryId::new(0),
-            consumer: ConsumerId::new(0),
-            description: QueryDescription::with_topic(topic, QueryClass::Light),
-            n: 1,
-            issued_at: SimTime::ZERO,
-        }
-    }
-
-    #[test]
-    fn universal_matcher_returns_everyone() {
-        let m = UniversalMatchmaker::with_providers(5);
-        let q = query_with_topic("anything");
-        assert_eq!(m.candidates(&q).len(), 5);
-        assert!(m.is_feasible(&q));
-        assert_eq!(m.len(), 5);
-    }
-
-    #[test]
-    fn universal_matcher_add_remove() {
-        let mut m = UniversalMatchmaker::with_providers(3);
-        m.remove(ProviderId::new(1));
-        assert_eq!(m.len(), 2);
-        let q = query_with_topic("t");
-        assert!(!m.candidates(&q).contains(&ProviderId::new(1)));
-        m.add(ProviderId::new(1));
-        m.add(ProviderId::new(1)); // idempotent
-        assert_eq!(m.len(), 3);
-        assert!(m.candidates(&q).contains(&ProviderId::new(1)));
-    }
-
-    #[test]
-    fn universal_matcher_empty_is_infeasible() {
-        let m = UniversalMatchmaker::new(vec![]);
-        assert!(m.is_empty());
-        assert!(!m.is_feasible(&query_with_topic("t")));
-    }
-
-    #[test]
-    fn universal_matcher_dedups_explicit_providers() {
-        let m = UniversalMatchmaker::new(vec![
-            ProviderId::new(2),
-            ProviderId::new(0),
-            ProviderId::new(2),
-        ]);
-        assert_eq!(m.len(), 2);
-        let c = m.candidates(&query_with_topic("t"));
-        assert_eq!(c, vec![ProviderId::new(0), ProviderId::new(2)]);
+    fn topic(topic: &str) -> QueryDescription {
+        QueryDescription::with_topic(topic, QueryClass::Light)
     }
 
     #[test]
@@ -199,18 +46,17 @@ mod tests {
             Capability::new("shipping").with_attribute("origin:FR"),
         );
         registry.register(ProviderId::new(1), Capability::new("computing"));
-        let m = TopicMatchmaker::new(registry);
 
-        let q = query_with_topic("shipping/international");
-        let candidates = m.candidates(&q);
-        assert_eq!(candidates, vec![ProviderId::new(0)]);
-
-        let q = query_with_topic("computing/cpu");
-        assert_eq!(m.candidates(&q), vec![ProviderId::new(1)]);
-
-        let q = query_with_topic("catering");
-        assert!(m.candidates(&q).is_empty());
-        assert!(!m.is_feasible(&q));
+        assert_eq!(
+            registry.matching_providers(&topic("shipping/international")),
+            vec![ProviderId::new(0)]
+        );
+        assert_eq!(
+            registry.matching_providers(&topic("computing/cpu")),
+            vec![ProviderId::new(1)]
+        );
+        // No capable provider: the query is infeasible.
+        assert!(registry.matching_providers(&topic("catering")).is_empty());
     }
 
     #[test]
@@ -223,11 +69,12 @@ mod tests {
                 .with_attribute("destination:US"),
         );
         registry.register(ProviderId::new(1), Capability::new("shipping"));
-        let m = TopicMatchmaker::new(registry);
 
-        let mut q = query_with_topic("shipping");
-        q.description = q.description.clone().attribute("origin:FR");
+        let description = topic("shipping").attribute("origin:FR");
         // Only p0 declares the required attribute.
-        assert_eq!(m.candidates(&q), vec![ProviderId::new(0)]);
+        assert_eq!(
+            registry.matching_providers(&description),
+            vec![ProviderId::new(0)]
+        );
     }
 }

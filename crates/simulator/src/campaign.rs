@@ -9,8 +9,7 @@
 //! hostile transport". Every entry carries the run's bit-exact report
 //! digest; `BENCH_campaign.json` at the repository root is the committed
 //! record, and the `campaign` binary re-runs the matrix and fails on any
-//! digest drift (the same regression discipline `perf_gate` applies to
-//! throughput).
+//! digest drift.
 //!
 //! The workspace vendors no JSON library, so the file is rendered and
 //! parsed here; the format is owned by this module and pinned by
@@ -245,9 +244,8 @@ pub fn render_campaign(entries: &[CampaignEntry]) -> String {
     out
 }
 
-/// One `"key": value` field of a rendered line (the same line-oriented
-/// scanner the perf trajectory uses — the format is machine-written, one
-/// entry per line).
+/// One `"key": value` field of a rendered line (a line-oriented scanner:
+/// the format is machine-written, one entry per line).
 fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let start = line.find(key)? + key.len();
     let rest = line[start..].trim_start_matches([':', ' ', '"']);
@@ -257,44 +255,56 @@ fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 
 /// Parses a digest rendered as `"0x…"` hex.
 fn parse_digest(value: &str) -> Option<u64> {
-    u64::from_str_radix(value.trim_start_matches("0x"), 16).ok()
+    u64::from_str_radix(value.strip_prefix("0x")?, 16).ok()
 }
 
-/// Parses a campaign file produced by [`render_campaign`]. Unparsable
-/// lines are skipped (a missing or malformed file parses to an empty
-/// matrix, which the checker reports as "everything missing").
-pub fn parse_campaign(content: &str) -> Vec<CampaignEntry> {
+/// The field `key` of entry line `line_no` (1-based), read by `parse`; a
+/// missing or unparsable field is an error naming the line and the key.
+fn entry_field<T>(
+    line_no: usize,
+    line: &str,
+    key: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, String> {
+    let raw = field(line, &format!("\"{key}\""))
+        .ok_or_else(|| format!("line {line_no}: missing \"{key}\""))?;
+    parse(raw).ok_or_else(|| format!("line {line_no}: unparsable \"{key}\": {raw:?}"))
+}
+
+/// Parses a campaign file produced by [`render_campaign`]. Every entry
+/// line (one that names a `"scenario"`) must carry every field in
+/// parsable form: a missing or malformed field fails the whole parse
+/// with its 1-based line number and key, never reads as 0 or drops the
+/// entry.
+pub fn parse_campaign(content: &str) -> Result<Vec<CampaignEntry>, String> {
+    fn num<T: std::str::FromStr>(value: &str) -> Option<T> {
+        value.parse().ok()
+    }
+    fn name(value: &str) -> Option<String> {
+        (!value.is_empty()).then(|| value.to_string())
+    }
     let mut entries = Vec::new();
-    for line in content.lines() {
-        if !line.contains("\"scenario\"") || !line.contains("\"digest\"") {
+    for (index, line) in content.lines().enumerate() {
+        if !line.contains("\"scenario\"") {
             continue;
         }
-        let (Some(scenario), Some(method), Some(digest)) = (
-            field(line, "\"scenario\""),
-            field(line, "\"method\""),
-            field(line, "\"digest\"").and_then(parse_digest),
-        ) else {
-            continue;
-        };
-        fn num<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
-            field(line, key).and_then(|v| v.parse().ok())
-        }
+        let n = index + 1;
         entries.push(CampaignEntry {
-            scenario: scenario.to_string(),
-            method: method.to_string(),
-            digest,
-            issued_queries: num(line, "\"issued_queries\"").unwrap_or(0),
-            completed_queries: num(line, "\"completed_queries\"").unwrap_or(0),
-            retention: num(line, "\"retention\"").unwrap_or(0.0),
-            satisfaction: num(line, "\"satisfaction\"").unwrap_or(0.0),
-            utilization_balance: num(line, "\"utilization_balance\"").unwrap_or(0.0),
-            churn_departures: num(line, "\"churn_departures\"").unwrap_or(0),
-            churn_rejoins: num(line, "\"churn_rejoins\"").unwrap_or(0),
-            indifferent_replies: num(line, "\"indifferent_replies\"").unwrap_or(0),
-            degraded_waves: num(line, "\"degraded_waves\"").unwrap_or(0),
+            scenario: entry_field(n, line, "scenario", name)?,
+            method: entry_field(n, line, "method", name)?,
+            digest: entry_field(n, line, "digest", parse_digest)?,
+            issued_queries: entry_field(n, line, "issued_queries", num)?,
+            completed_queries: entry_field(n, line, "completed_queries", num)?,
+            retention: entry_field(n, line, "retention", num)?,
+            satisfaction: entry_field(n, line, "satisfaction", num)?,
+            utilization_balance: entry_field(n, line, "utilization_balance", num)?,
+            churn_departures: entry_field(n, line, "churn_departures", num)?,
+            churn_rejoins: entry_field(n, line, "churn_rejoins", num)?,
+            indifferent_replies: entry_field(n, line, "indifferent_replies", num)?,
+            degraded_waves: entry_field(n, line, "degraded_waves", num)?,
         });
     }
-    entries
+    Ok(entries)
 }
 
 /// Compares freshly measured entries against the committed matrix and
@@ -385,10 +395,53 @@ mod tests {
             entry("flash-crowd", "Mariposa-like", 1),
         ];
         let rendered = render_campaign(&entries);
-        let parsed = parse_campaign(&rendered);
+        let parsed = parse_campaign(&rendered).expect("a rendered file parses");
         assert_eq!(parsed, entries);
         // The recorded campaign digest matches the entries it covers.
         assert!(rendered.contains(&format!("{:#018x}", campaign_digest(&parsed))));
+    }
+
+    #[test]
+    fn a_corrupt_number_or_digest_fails_the_parse_with_its_line_and_key() {
+        let rendered = render_campaign(&[
+            entry("steady", "SQLB", 0xDEAD_BEEF_0BAD_F00D),
+            entry("flash-crowd", "SQLB", 1),
+        ]);
+        // Replaces `from` with `to` on 1-based line `line_no` only. The
+        // header takes five lines, so the entries are lines 6 and 7.
+        let corrupt = |line_no: usize, from: &str, to: &str| -> String {
+            rendered
+                .lines()
+                .enumerate()
+                .map(|(i, line)| {
+                    let line = if i + 1 == line_no {
+                        line.replacen(from, to, 1)
+                    } else {
+                        line.to_string()
+                    };
+                    line + "\n"
+                })
+                .collect()
+        };
+        let cases = [
+            (
+                7,
+                "\"churn_rejoins\": 16",
+                "\"churn_rejoins\": 1x6",
+                "\"churn_rejoins\"",
+            ),
+            (6, "0xdeadbeef0badf00d", "0xdeadbeef0badf00g", "\"digest\""),
+            (6, ", \"degraded_waves\": 7", "", "\"degraded_waves\""),
+        ];
+        for (line_no, from, to, key) in cases {
+            let content = corrupt(line_no, from, to);
+            assert_ne!(content, rendered, "the corruption must apply");
+            let error = parse_campaign(&content).expect_err("a corrupt entry must not parse");
+            assert!(
+                error.contains(&format!("line {line_no}:")) && error.contains(key),
+                "{error}"
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! Everything is driven from the deterministic seed and the virtual
 //! clock — never from wall time — so a same-seed scenario run is
 //! bit-identical, which is what lets `BENCH_campaign.json` pin campaign
-//! digests the way `BENCH_allocation.json` pins perf.
+//! digests exactly.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

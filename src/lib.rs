@@ -97,7 +97,7 @@ pub mod prelude {
         consumer_intention, provider_intention, IntentionParams, MediatorState, OmegaPolicy,
         SqlbAllocator, SqlbConfig,
     };
-    pub use sqlb_matchmaking::{Capability, CapabilityRegistry, Matchmaker, UniversalMatchmaker};
+    pub use sqlb_matchmaking::{Capability, CapabilityRegistry};
     pub use sqlb_metrics::{fairness, mean, min_max_ratio, Summary, TimeSeries};
     pub use sqlb_reputation::ReputationStore;
     pub use sqlb_satisfaction::{allocation_satisfaction, ConsumerTracker, ProviderTracker};

@@ -12,7 +12,10 @@
 //!   seed, after a warm-up that fills every proposal window;
 //! * what building and running one small simulation costs end to end on
 //!   the inline and on the reactor backend — the engine's own arrival
-//!   path (`Simulator::handle_arrival`), not a hand-written copy of it.
+//!   path (`Simulator::handle_arrival`), not a hand-written copy of it;
+//! * what the 32 × 64 shard-throughput run costs at K = 1, 2, 4 and 8
+//!   mediator shards, so shard routing and the satisfaction-view sync
+//!   exchange are pinned too.
 //!
 //! An "allocation" is one call to `alloc`, `alloc_zeroed` or `realloc`.
 //! A change to a pinned count is a behaviour change: update the pin only
@@ -284,4 +287,35 @@ fn a_reactor_engine_run_allocates_a_pinned_count() {
         engine_run_allocations(MediationMode::Reactor),
         REACTOR_RUN_PIN
     );
+}
+
+/// Allocations of [`sharded_run_allocations`] at K = 1, 2, 4 and 8
+/// mediator shards. Past K = 1 they cover `ShardRouter` routing and the
+/// periodic `SyncViews` exchange of satisfaction digests between shards.
+const SHARDED_RUN_PINS: [(usize, u64); 4] = [(1, 12_540), (2, 13_336), (4, 13_672), (8, 13_850)];
+
+/// Allocations made by `Simulator::new` plus `run` for the 32 × 64
+/// shard-throughput configuration of the `allocation` bench
+/// (`sqlb_bench::perf::bench_config`, inlined here: the facade does not
+/// depend on the bench crate), inline, on one scoring thread.
+fn sharded_run_allocations(shards: usize) -> u64 {
+    let config = SimulationConfig::scaled(32, 64, 400.0, 7)
+        .with_workload(WorkloadPattern::Fixed(0.6))
+        .with_mediator_shards(shards)
+        .with_scoring_threads(1)
+        .with_observability(false);
+    let (report, allocations) = counted(|| {
+        Simulator::new(config, Method::Sqlb)
+            .expect("valid config")
+            .run()
+    });
+    assert_eq!(report.issued_queries, 5753, "K={shards}");
+    allocations
+}
+
+#[test]
+fn sharded_engine_runs_allocate_pinned_counts() {
+    for (shards, pin) in SHARDED_RUN_PINS {
+        assert_eq!(sharded_run_allocations(shards), pin, "K={shards}");
+    }
 }

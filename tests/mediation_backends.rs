@@ -174,8 +174,9 @@ fn scoring_thread_count_never_changes_the_digest_on_any_backend() {
     // result must be bit-identical at any thread count — on every
     // mediation backend. 80 providers over K=2 shards gives 40-candidate
     // sets per query, comfortably past the parallel kernel's engagement
-    // threshold, so the parallel code path genuinely runs.
-    let base = SimulationConfig::scaled(16, 80, 300.0, 29)
+    // threshold, so the parallel code path genuinely runs. 100 virtual
+    // seconds keep the 12-run matrix quick in debug builds.
+    let base = SimulationConfig::scaled(16, 80, 100.0, 29)
         .with_workload(WorkloadPattern::Fixed(0.6))
         .with_mediator_shards(2);
     let reference = run_simulation(base, Method::Sqlb).unwrap();

@@ -15,10 +15,15 @@
 //!    waves), and the response-time histogram saw one sample per
 //!    completed query. When it is off (the default), the handle is
 //!    disabled and snapshots are empty.
+//!
+//! The socket transport's wire counters (waves, delivered requests,
+//! reassembled frames, bytes each way) are also pinned exactly for one
+//! small fixed run, so a protocol change that moves the wire work fails
+//! here whatever the host speed.
 
 use sqlb::obs::Obs;
 use sqlb::sim::engine::{run_simulation, Simulator};
-use sqlb::sim::{MediationMode, Method, SimulationConfig};
+use sqlb::sim::{MediationMode, Method, SimulationConfig, WorkloadPattern};
 
 const BACKENDS: [MediationMode; 4] = [
     MediationMode::Inline,
@@ -100,6 +105,30 @@ fn engine_counters_agree_with_the_report() {
         let json = snapshot.to_json();
         assert!(json.contains("\"queries_issued\""));
     }
+}
+
+#[test]
+fn socket_wire_counters_are_pinned() {
+    // Exact wire work of one small fixed socket run: a protocol change
+    // that bloats a frame or adds a round trip moves these counts,
+    // whatever the host speed.
+    let config = SimulationConfig::scaled(8, 16, 60.0, 7)
+        .with_workload(WorkloadPattern::Fixed(0.5))
+        .with_mediation(MediationMode::Socket)
+        .with_observability(true);
+    let sim = Simulator::new(config, Method::Sqlb).unwrap();
+    let obs = sim.obs().clone();
+    let report = sim.run();
+    assert_eq!(report.issued_queries, 193);
+
+    let snapshot = obs.snapshot();
+    let counter = |name: &str| snapshot.counter(name);
+    assert_eq!(counter("waves_begun"), Some(193));
+    assert_eq!(counter("requests_delivered"), Some(3_281));
+    assert_eq!(counter("frames_reassembled"), Some(3_281));
+    assert_eq!(counter("bytes_in"), Some(172_349));
+    assert_eq!(counter("bytes_out"), Some(211_528));
+    assert_eq!(counter("replies_timed_out"), Some(0));
 }
 
 #[test]

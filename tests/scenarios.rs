@@ -67,7 +67,7 @@ fn every_campaign_scenario_is_reproducible_per_seed() {
 fn the_smoke_subset_matches_the_committed_campaign_digests() {
     let content = std::fs::read_to_string(campaign::campaign_path())
         .expect("BENCH_campaign.json is committed at the repository root");
-    let committed = campaign::parse_campaign(&content);
+    let committed = campaign::parse_campaign(&content).expect("BENCH_campaign.json parses");
     assert!(
         committed.len() >= 15,
         "the committed matrix covers at least 5 scenarios x 3 methods"
