@@ -156,37 +156,6 @@ impl Mediator {
         allocation
     }
 
-    /// Batched form of [`Mediator::allocate`]: the decision/record step of
-    /// Algorithm 1 for a whole mediation wave. `infos[i]` is the gathered
-    /// candidate information of `queries[i]` (one entry per query, as
-    /// produced by a batched gather such as the mediation reactor's);
-    /// allocations are returned in input order.
-    ///
-    /// Decisions are sequential and order-preserving: each allocation is
-    /// recorded in the satisfaction state before the next query of the
-    /// wave is scored, so a wave of N queries is bit-identical to N
-    /// single-query calls.
-    pub fn allocate_batch(
-        &mut self,
-        queries: &[&Query],
-        infos: &[Vec<CandidateInfo>],
-    ) -> Vec<Allocation> {
-        // A mismatch would silently drop trailing queries (zip stops at
-        // the shorter side): never allocated, never recorded, never
-        // notified. Fail loudly instead — the check is trivial next to
-        // an allocation decision.
-        assert_eq!(
-            queries.len(),
-            infos.len(),
-            "allocate_batch needs one candidate-info vector per query"
-        );
-        queries
-            .iter()
-            .zip(infos)
-            .map(|(query, query_infos)| self.allocate(query, query_infos))
-            .collect()
-    }
-
     /// Publishes this mediator's local consumer-satisfaction readings.
     pub fn export_digest(&self) -> SatisfactionDigest {
         let consumers = self
@@ -319,34 +288,6 @@ mod tests {
             wins[0] > 0 && wins[1] > 0,
             "satisfaction balancing should spread queries across both providers, got {wins:?}"
         );
-    }
-
-    #[test]
-    fn a_batched_wave_equals_the_same_single_query_calls() {
-        let mut batched = mediator(0);
-        let mut sequential = mediator(0);
-        let queries: Vec<Query> = (0..6).map(|i| query(i, i % 2)).collect();
-        let infos: Vec<Vec<CandidateInfo>> = (0..6)
-            .map(|i| candidates(&[(0, 0.9 - 0.1 * i as f64, 0.5), (1, 0.2, 0.8)]))
-            .collect();
-
-        let query_refs: Vec<&Query> = queries.iter().collect();
-        let from_batch = batched.allocate_batch(&query_refs, &infos);
-        let from_singles: Vec<Allocation> = queries
-            .iter()
-            .zip(&infos)
-            .map(|(q, i)| sequential.allocate(q, i))
-            .collect();
-        assert_eq!(from_batch, from_singles);
-        assert_eq!(batched.state().allocations(), 6);
-        // The recorded satisfaction state is identical too (the batch is
-        // sequential and order-preserving, not a parallel fold).
-        for consumer in [ConsumerId::new(0), ConsumerId::new(1)] {
-            assert_eq!(
-                batched.state().consumer_satisfaction(consumer),
-                sequential.state().consumer_satisfaction(consumer)
-            );
-        }
     }
 
     #[test]

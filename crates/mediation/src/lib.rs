@@ -41,7 +41,7 @@ pub use protocol::{
     FrameAssembler, FrameError, FrameReader, MediatorMessage, ParticipantReply, MAX_FRAME_PAYLOAD,
 };
 pub use reactor::{
-    run_wave_threaded, AsyncMediator, IntentionWave, Latency, ProviderAnswer, Reactor, RoundStats,
-    WaveReplies,
+    candidate_info, run_wave_threaded, AsyncMediator, IntentionWave, Latency, ProviderAnswer,
+    Reactor, RoundStats, WaveReplies,
 };
 pub use runtime::{ConsumerEndpoint, ProviderEndpoint, RuntimeConfig};

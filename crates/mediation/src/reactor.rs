@@ -56,7 +56,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::time::Duration;
 
 use sqlb_core::allocation::{Allocation, AllocationMethod, Bid, CandidateInfo};
-use sqlb_core::{Mediator, MediatorState};
+use sqlb_core::MediatorState;
 use sqlb_obs::{Counter, EventKind, Histogram, Obs};
 use sqlb_types::{ConsumerId, ParticipantTable, ProviderId, Query, QueryId};
 
@@ -402,8 +402,15 @@ impl KeyedReplies {
 }
 
 /// One candidate's information from its consumer intention and its
-/// provider's answer; a missing answer reads as indifference.
-fn candidate_info(provider: ProviderId, ci: f64, answer: Option<&ProviderAnswer>) -> CandidateInfo {
+/// provider's answer; a missing answer reads as indifference (Algorithm 1,
+/// line 5). Every backend builds its candidate information through this
+/// one rule.
+#[inline]
+pub fn candidate_info(
+    provider: ProviderId,
+    ci: f64,
+    answer: Option<&ProviderAnswer>,
+) -> CandidateInfo {
     let mut info = CandidateInfo::new(provider)
         .with_consumer_intention(ci)
         .with_provider_intention(answer.map_or(0.0, |a| a.intention))
@@ -1044,23 +1051,6 @@ impl AsyncMediator {
             .collect()
     }
 
-    /// Runs Algorithm 1 for a whole batch against a [`Mediator`] (the
-    /// packaged method + satisfaction state of `sqlb-core`): one gather
-    /// wave, then [`Mediator::allocate_batch`], then the notifications.
-    pub fn mediate_batch_with(
-        &mut self,
-        requests: &[(Query, Vec<ProviderId>)],
-        mediator: &mut Mediator,
-    ) -> Vec<Allocation> {
-        let infos = self.gather_batch(requests);
-        let queries: Vec<&Query> = requests.iter().map(|(query, _)| query).collect();
-        let allocations = mediator.allocate_batch(&queries, &infos);
-        for ((query, candidates), allocation) in requests.iter().zip(&allocations) {
-            self.notify(query, candidates, allocation);
-        }
-        allocations
-    }
-
     /// Single-query convenience over [`AsyncMediator::mediate_batch`].
     pub fn mediate<M: AllocationMethod>(
         &mut self,
@@ -1105,9 +1095,8 @@ impl std::fmt::Debug for AsyncMediator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlb_core::mediator_state::MediatorStateConfig;
     use sqlb_core::SqlbAllocator;
-    use sqlb_types::{MediatorId, QueryClass, SimTime};
+    use sqlb_types::{QueryClass, SimTime};
 
     struct CannedConsumer {
         values: Vec<f64>,
@@ -1415,26 +1404,6 @@ mod tests {
         // (Endpoints are owned by the mediator; drop it to inspect them is
         // not needed — the counters live in the reactor.)
         assert_eq!(mediator.reactor().waves(), 1, "one wave serves the batch");
-    }
-
-    #[test]
-    fn mediate_batch_with_a_core_mediator_uses_the_batched_seam() {
-        let mut mediator = mediator_with(
-            &[(0.9, Latency::Immediate), (0.4, Latency::Immediate)],
-            vec![0.8, 0.8],
-            RuntimeConfig::default(),
-        );
-        let mut core = Mediator::new(
-            MediatorId::new(0),
-            Box::new(SqlbAllocator::new()),
-            MediatorStateConfig::default(),
-        );
-        let candidates: Vec<ProviderId> = (0..2).map(ProviderId::new).collect();
-        let batch: Vec<(Query, Vec<ProviderId>)> =
-            (0..4).map(|i| (query(i), candidates.clone())).collect();
-        let allocations = mediator.mediate_batch_with(&batch, &mut core);
-        assert_eq!(allocations.len(), 4);
-        assert_eq!(core.state().allocations(), 4);
     }
 
     /// A provider endpoint that reports a non-idle utilization.

@@ -120,8 +120,8 @@ mod tests {
     use crate::AsyncMediator;
     use sqlb_baselines::MariposaLike;
     use sqlb_core::mediator_state::MediatorStateConfig;
-    use sqlb_core::{Mediator, MediatorState, MediatorView, SqlbAllocator};
-    use sqlb_types::{ConsumerId, MediatorId, QueryClass, SimTime};
+    use sqlb_core::{AllocationMethod, MediatorState, MediatorView, SqlbAllocator};
+    use sqlb_types::{ConsumerId, QueryClass, SimTime};
     use std::sync::{Arc, Mutex};
 
     /// What the endpoints were told after mediation, shared with the test
@@ -434,18 +434,16 @@ mod tests {
             vec![0.9, -0.5, 0.4],
             RuntimeConfig::default(),
         );
-        let mut core = Mediator::new(
-            MediatorId::new(0),
-            Box::new(SqlbAllocator::new()),
-            MediatorStateConfig::default(),
-        );
-        assert_eq!(core.method_name(), "SQLB");
+        let mut method = SqlbAllocator::new();
+        let mut state = MediatorState::new(MediatorStateConfig::default());
+        assert_eq!(method.name(), "SQLB");
         let candidates: Vec<ProviderId> = (0..3).map(ProviderId::new).collect();
-        let allocations = mediator.mediate_batch_with(&[(query(1), candidates)], &mut core);
+        let allocations =
+            mediator.mediate_batch(&[(query(1), candidates)], &mut method, &mut state);
         assert_eq!(allocations[0].selected, vec![ProviderId::new(0)]);
-        assert_eq!(core.state().allocations(), 1);
+        assert_eq!(state.allocations(), 1);
         assert_eq!(*results.lock().unwrap(), vec![vec![ProviderId::new(0)]]);
         // The consumer got a provider it likes → satisfaction above 0.5.
-        assert!(core.state().consumer_satisfaction(ConsumerId::new(0)) > 0.5);
+        assert!(state.consumer_satisfaction(ConsumerId::new(0)) > 0.5);
     }
 }

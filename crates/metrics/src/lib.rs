@@ -1,8 +1,8 @@
 //! # sqlb-metrics
 //!
 //! The system metrics of Section 4 of the SQLB paper, plus the measurement
-//! infrastructure (time series, histograms, summaries) used by the
-//! experiment harness.
+//! infrastructure (time series, summaries) used by the experiment
+//! harness.
 //!
 //! The paper evaluates the quality of a query allocation method over a set
 //! `S` of per-participant values `g(s)` (where `g` is one of adequation
@@ -21,13 +21,11 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod histogram;
 pub mod summary;
 pub mod timeseries;
 
 pub use aggregate::{
     fairness, fairness_with, mean, min_max_ratio, min_max_ratio_with, spread, MetricKind,
 };
-pub use histogram::Histogram;
 pub use summary::Summary;
 pub use timeseries::{SeriesSet, TimePoint, TimeSeries};

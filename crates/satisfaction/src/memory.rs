@@ -3,13 +3,11 @@
 //! The paper's characteristics are computed "over the k last interactions
 //! with the system" (Section 3); `k` "may be different for each participant
 //! depending on its storage capacity, or strategy" (footnote 3).
-//! [`InteractionMemory`] is the fixed-capacity window of `f64`
-//! observations with a running mean; [`WindowRing`] is the bare ring of
-//! compact entries the provider windows store (a tagged `f64` per proposal
-//! in [`crate::ProviderTracker`], a `u16` class code per proposal in the
-//! provider agent's private preference history).
-
-use std::collections::VecDeque;
+//! [`WindowRing`] is the one ring every window is stored in: the `f64`
+//! observations of an [`InteractionMemory`] (a ring plus its running sum),
+//! a tagged `f64` per proposal in [`crate::ProviderTracker`], a `u16`
+//! class code per proposal in the provider agent's private preference
+//! history.
 
 /// A fixed-capacity FIFO memory of `f64` observations with O(1) incremental
 /// mean maintenance.
@@ -18,8 +16,7 @@ use std::collections::VecDeque;
 /// always reflects the `k` most recent interactions.
 #[derive(Debug, Clone)]
 pub struct InteractionMemory {
-    capacity: usize,
-    values: VecDeque<f64>,
+    values: WindowRing<f64>,
     sum: f64,
 }
 
@@ -27,16 +24,13 @@ impl InteractionMemory {
     /// Creates a memory remembering at most `capacity` observations.
     /// Panics if `capacity` is zero.
     ///
-    /// The backing deque starts unallocated and grows with the actual
+    /// The backing ring starts unallocated and grows with the actual
     /// fill: at 10⁶ participants, eagerly reserving every window (500
     /// slots × 8 bytes per provider, Table 2) would cost gigabytes before
-    /// a single query flows. Eviction keys on `capacity`, not the deque's
-    /// allocation, so behaviour is unchanged.
+    /// a single query flows.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "interaction memory capacity must be positive");
         InteractionMemory {
-            capacity,
-            values: VecDeque::new(),
+            values: WindowRing::new(capacity),
             sum: 0.0,
         }
     }
@@ -44,16 +38,10 @@ impl InteractionMemory {
     /// Records an observation, evicting the oldest one if the memory is
     /// full. Returns the evicted observation, if any.
     pub fn push(&mut self, value: f64) -> Option<f64> {
-        let evicted = if self.values.len() == self.capacity {
-            let old = self.values.pop_front();
-            if let Some(old) = old {
-                self.sum -= old;
-            }
-            old
-        } else {
-            None
-        };
-        self.values.push_back(value);
+        let evicted = self.values.push(value);
+        if let Some(old) = evicted {
+            self.sum -= old;
+        }
         self.sum += value;
         evicted
     }
@@ -70,12 +58,12 @@ impl InteractionMemory {
 
     /// The configured capacity `k`.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.values.capacity
     }
 
     /// Whether the memory has reached its capacity (the window is "full").
     pub fn is_full(&self) -> bool {
-        self.values.len() == self.capacity
+        self.values.len() == self.values.capacity
     }
 
     /// Mean of the remembered observations, or `None` when empty.
@@ -103,7 +91,7 @@ impl InteractionMemory {
 
     /// The remembered observations, oldest first.
     pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
-        self.values.iter().copied()
+        self.values.iter()
     }
 
     /// Removes all observations.
@@ -180,6 +168,12 @@ impl<T: Copy> WindowRing<T> {
     pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
         let (wrapped, oldest) = self.entries.split_at(self.head);
         oldest.iter().chain(wrapped).copied()
+    }
+
+    /// Forgets every entry, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.head = 0;
     }
 }
 
@@ -269,6 +263,12 @@ mod tests {
         assert_eq!(r.push(5), Some(2));
         assert_eq!(r.len(), 3);
         assert_eq!(r.iter().collect::<Vec<_>>(), vec![3, 4, 5]);
+
+        // Cleared mid-wrap, the ring fills anew from its start.
+        r.clear();
+        assert!(r.is_empty());
+        assert_eq!(r.push(6), None);
+        assert_eq!(r.iter().collect::<Vec<_>>(), vec![6]);
     }
 
     proptest! {

@@ -28,13 +28,14 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sqlb_agents::Population;
+use sqlb_agents::{Population, ProviderAgent};
 use sqlb_core::allocation::{CandidateInfo, MediatorView, SelectionSet};
 use sqlb_core::mediator_state::MediatorStateConfig;
 use sqlb_mediation::{
-    run_wave_threaded, IntentionWave, Latency, ProviderAnswer, Reactor, RuntimeConfig,
+    candidate_info, run_wave_threaded, IntentionWave, Latency, ProviderAnswer, Reactor,
+    RuntimeConfig,
 };
-use sqlb_metrics::{fairness, mean, spread, Histogram, Summary, TimeSeries};
+use sqlb_metrics::{fairness, mean, spread, Summary, TimeSeries};
 use sqlb_obs::{Counter as ObsCounter, EventKind, Histogram as ObsHistogram, Obs};
 use sqlb_reputation::ReputationStore;
 use sqlb_transport::{HostFault, ServerConfig, SocketMediator, WaveJobs};
@@ -123,8 +124,7 @@ impl EngineMetrics {
 
 /// Run state of an attached [`Scenario`]: the declarative description
 /// (arrival modifiers are evaluated from it directly), the compiled
-/// churn groups, the fault list with its one-shot drop bookkeeping, and
-/// the accounting the report carries.
+/// churn groups, the fault list, and the accounting the report carries.
 struct ScenarioState {
     description: Scenario,
     groups: Vec<CompiledChurnGroup>,
@@ -133,11 +133,6 @@ struct ScenarioState {
     /// must not re-join).
     departed_members: Vec<Vec<ProviderId>>,
     faults: Vec<TransportFault>,
-    /// Per entry of `faults`: whether a [`TransportFault::DropHost`]
-    /// already severed its connection. Socket backend only — the
-    /// in-process backends derive the permanent post-drop condition
-    /// from the virtual clock alone.
-    drop_fired: Vec<bool>,
     churn_departures: u64,
     churn_rejoins: u64,
     /// Indifference fabricated for scenario-faulted endpoints on the
@@ -147,97 +142,52 @@ struct ScenarioState {
     fault_indifference: u64,
 }
 
-/// The engine-side condition of one loopback host for the wave being
-/// issued now, derived from the scenario's fault windows and the
-/// virtual clock.
-#[derive(Debug, Clone, Copy)]
-enum HostCondition {
-    /// No active fault.
-    Healthy,
-    /// Stalled, dropped, or delayed past the wave deadline: the host's
-    /// replies degrade to indifference.
-    Unresponsive,
-    /// Delayed but inside the deadline: the reply still counts.
-    Delayed(Duration),
+/// The hosts whose replies are lost in the wave being issued now: the
+/// one reading of the scenario's [`TransportFault`]s
+/// ([`Simulator::down_hosts`]) that every backend applies. Hosts are the
+/// socket backend's partition (`raw id % socket_hosts`), which the
+/// in-process backends model the faults against too, so fault runs stay
+/// digest-comparable across backends. Empty (no allocation) outside
+/// scenario fault windows.
+struct DownHosts {
+    /// Per down host, the wire fault the socket backend injects on it.
+    faults: Vec<(usize, HostFault)>,
+    /// Size of the host partition.
+    hosts: usize,
 }
 
-impl HostCondition {
-    /// The per-wave latency override modelling this condition on the
-    /// in-process mediated backends (`None`: the endpoint's registered
-    /// latency stands).
-    fn latency_override(self) -> Option<Latency> {
-        match self {
-            HostCondition::Healthy => None,
-            HostCondition::Unresponsive => Some(Latency::Never),
-            HostCondition::Delayed(delay) => Some(Latency::After(delay)),
+impl DownHosts {
+    /// Whether the endpoint with this raw id sits on a down host.
+    fn is_down(&self, raw: u32) -> bool {
+        !self.faults.is_empty() && {
+            let host = raw as usize % self.hosts;
+            self.faults.iter().any(|&(h, _)| h == host)
         }
     }
+
+    /// The per-wave latency override of that endpoint on the reactor and
+    /// threaded backends: a down host's endpoints never answer, so the
+    /// wave reads them as indifference at its deadline.
+    fn latency(&self, raw: u32) -> Option<Latency> {
+        self.is_down(raw).then_some(Latency::Never)
+    }
 }
 
-/// The fault condition of `host` for a wave issued at `now_secs`. The
-/// worst active fault wins: `Unresponsive` beats a sub-deadline delay,
-/// and a delay at or past the deadline *is* unresponsiveness.
-fn host_condition_at(
-    faults: &[TransportFault],
-    host: usize,
-    now_secs: f64,
-    timeout_ms: u64,
-) -> HostCondition {
-    let mut condition = HostCondition::Healthy;
-    for fault in faults {
-        match *fault {
-            TransportFault::StallHost {
-                host: h,
-                from_secs,
-                until_secs,
-            } if h == host && now_secs >= from_secs && now_secs < until_secs => {
-                return HostCondition::Unresponsive;
-            }
-            TransportFault::DropHost { host: h, at_secs } if h == host && now_secs >= at_secs => {
-                return HostCondition::Unresponsive;
-            }
-            TransportFault::DelayHost {
-                host: h,
-                from_secs,
-                until_secs,
-                delay_ms,
-            } if h == host && now_secs >= from_secs && now_secs < until_secs => {
-                if delay_ms >= timeout_ms {
-                    return HostCondition::Unresponsive;
-                }
-                condition = HostCondition::Delayed(Duration::from_millis(delay_ms));
-            }
-            _ => {}
-        }
-    }
-    condition
-}
-
-/// Per-host fault conditions of the wave being issued now, keyed by the
-/// socket backend's host partition (`raw id % socket_hosts`). The
-/// in-process backends model scenario transport faults against the
-/// same partition, which is what keeps fault runs digest-comparable
-/// across backends. An empty table means every host is healthy — the
-/// common case, costing no allocation.
-struct WaveConditions {
-    hosts: Vec<HostCondition>,
-}
-
-impl WaveConditions {
-    fn consumer(&self, id: ConsumerId) -> HostCondition {
-        self.of_raw(id.raw())
-    }
-
-    fn provider(&self, id: ProviderId) -> HostCondition {
-        self.of_raw(id.raw())
-    }
-
-    fn of_raw(&self, raw: u32) -> HostCondition {
-        if self.hosts.is_empty() {
-            HostCondition::Healthy
-        } else {
-            self.hosts[raw as usize % self.hosts.len()]
-        }
+/// A provider's Definition 8 answer to `query`: its intention, its
+/// utilization and, when the method asks for one, its bid. Every backend
+/// computes a provider's reply through this one function.
+fn provider_answer(
+    agent: &mut ProviderAgent,
+    query: &Query,
+    now: SimTime,
+    request_bids: bool,
+) -> ProviderAnswer {
+    let (intention, utilization) = agent.intention_and_utilization(query, now);
+    ProviderAnswer {
+        query: query.id,
+        intention,
+        utilization,
+        bid: request_bids.then(|| agent.bid_for(query, now)),
     }
 }
 
@@ -261,6 +211,41 @@ enum MediationDriver {
     /// start-up and deregistered on departure, and a host whose last
     /// endpoint departs has its connection closed.
     Socket(Box<SocketMediator>),
+}
+
+impl MediationDriver {
+    /// Removes a departed consumer's endpoint (the inline and threaded
+    /// backends keep no endpoints).
+    fn deregister_consumer(&mut self, id: ConsumerId) {
+        match self {
+            MediationDriver::Reactor(reactor) => reactor.deregister_consumer(id),
+            MediationDriver::Socket(socket) => socket.deregister_consumer(id),
+            MediationDriver::Inline | MediationDriver::Threaded => {}
+        }
+    }
+
+    /// Removes a departed or churned-out provider's endpoint.
+    fn deregister_provider(&mut self, id: ProviderId) {
+        match self {
+            MediationDriver::Reactor(reactor) => reactor.deregister_provider(id),
+            MediationDriver::Socket(socket) => socket.deregister_provider(id),
+            MediationDriver::Inline | MediationDriver::Threaded => {}
+        }
+    }
+
+    /// Re-announces a re-joining provider's endpoint (the socket backend
+    /// reconnects its host if the host's link is gone).
+    fn register_provider(&mut self, id: ProviderId) {
+        match self {
+            MediationDriver::Reactor(reactor) => {
+                reactor.register_provider(id, Latency::Immediate);
+            }
+            MediationDriver::Socket(socket) => socket
+                .register_provider(id)
+                .expect("socket re-registration of a re-joining provider failed"),
+            MediationDriver::Inline | MediationDriver::Threaded => {}
+        }
+    }
 }
 
 /// One arrival prepared (drawn, routed, candidates resolved) but not yet
@@ -354,7 +339,8 @@ pub struct Simulator {
     consumer_strikes: SlotColumn<ConsumerId, u32>,
     // Statistics.
     series: MetricSeries,
-    response_times: Histogram,
+    /// Sum of the completed queries' response times, in completion order.
+    response_time_sum: f64,
     issued: u64,
     completed: u64,
     unallocated: u64,
@@ -524,7 +510,6 @@ impl Simulator {
             ScenarioState {
                 description: s.clone(),
                 departed_members: vec![Vec::new(); compiled.groups.len()],
-                drop_fired: vec![false; compiled.faults.len()],
                 groups: compiled.groups,
                 faults: compiled.faults,
                 churn_departures: 0,
@@ -566,7 +551,7 @@ impl Simulator {
             initial_consumers,
             initial_providers,
             series: MetricSeries::default(),
-            response_times: Histogram::new(0.0, 120.0, 240),
+            response_time_sum: 0.0,
             issued: 0,
             completed: 0,
             unallocated: 0,
@@ -820,87 +805,62 @@ impl Simulator {
 
         // Gather intentions (Algorithm 1, lines 2–5) into the reusable
         // arena. The consumer's intentions come from its preferences (and
-        // provider reputation); each provider's intention balances its
+        // provider reputation); each provider's answer balances its
         // preference for the query class against its current utilization
         // (computed once and reused for the mediator's view of `Ut(p)`).
         // The mediated backends run the exact same per-participant
         // computations, only multiplexed through a mediation wave instead
         // of direct calls — which is why reports are bit-identical across
         // backends for a given seed.
-        // The transport-fault seam: the condition of every loopback host
-        // for a wave issued at this instant (all-healthy outside scenario
-        // fault windows). A fault models the *reply* going missing, not
-        // the work: every backend degrades a faulted host's answers to
-        // the same indifference the wave timeout semantics fabricate.
-        let conditions = self.wave_conditions();
+        //
+        // A scenario transport fault models the *reply* going missing, not
+        // the work: every backend reads a down host's answers as the
+        // indifference of Algorithm 1, line 5.
+        let down = self.down_hosts();
         let query = &arrival.query;
         let consumer = query.consumer;
         let candidates = arrival.candidates(&self.router, &self.scratch.candidates);
+        let consumer_down = down.is_down(consumer.raw());
+        let fabricated = if down.faults.is_empty() {
+            0
+        } else {
+            u64::from(consumer_down)
+                + candidates.iter().filter(|p| down.is_down(p.raw())).count() as u64
+        };
 
         let uses_bids = self.method_kind.uses_bids();
         let now = self.now;
         let wave_timeout = Duration::from_millis(self.config.wave_timeout_ms);
-        let mut fabricated = 0u64;
         match &mut self.mediation {
             MediationDriver::Inline => {
+                // A down host is not asked at all; the skipped agent calls
+                // are pure reads, so skipping them is unobservable
+                // elsewhere.
                 let consumer_agent = &self.population.consumers[consumer];
                 let infos = &mut self.scratch.infos;
                 infos.clear();
-                let consumer_down =
-                    matches!(conditions.consumer(consumer), HostCondition::Unresponsive);
-                if consumer_down {
-                    fabricated += 1;
-                }
                 for &p in candidates {
-                    // Mirror the mediated indifference exactly: consumer
-                    // intentions 0.0 when the consumer's host is down,
-                    // provider intention/utilization 0.0 and no bid when
-                    // the provider's is. The skipped agent calls are pure
-                    // reads, so skipping them is unobservable elsewhere.
                     let ci = if consumer_down {
                         0.0
                     } else {
                         consumer_agent.intention_for(query, p, &self.reputation)
                     };
-                    if matches!(conditions.provider(p), HostCondition::Unresponsive) {
-                        fabricated += 1;
-                        infos.push(
-                            CandidateInfo::new(p)
-                                .with_consumer_intention(ci)
-                                .with_provider_intention(0.0)
-                                .with_utilization(0.0),
-                        );
-                        continue;
-                    }
-                    let provider_agent = &mut self.population.providers[p];
-                    let (pi, utilization) = provider_agent.intention_and_utilization(query, now);
-                    let mut info = CandidateInfo::new(p)
-                        .with_consumer_intention(ci)
-                        .with_provider_intention(pi)
-                        .with_utilization(utilization);
-                    if uses_bids {
-                        info = info.with_bid(provider_agent.bid_for(query, now));
-                    }
-                    infos.push(info);
+                    let answer = (!down.is_down(p.raw())).then(|| {
+                        provider_answer(&mut self.population.providers[p], query, now, uses_bids)
+                    });
+                    infos.push(candidate_info(p, ci, answer.as_ref()));
                 }
             }
             driver => {
                 // One wave: a batched intention request to the issuing
                 // consumer (covering all candidates) and one request per
                 // candidate provider, with per-endpoint deadline tracking.
+                // A down host's endpoints never answer (`Never`), and the
+                // wave reads them as indifference.
                 let consumer_agent = &self.population.consumers[consumer];
                 let reputation = &self.reputation;
                 let mut wave = IntentionWave::with_capacity(1, candidates.len());
-                // Scenario faults ride in as per-wave latency overrides:
-                // an unresponsive host's endpoints miss the deadline
-                // (`Never`), a delayed host's lag by the configured
-                // amount — the wave machinery then fabricates the exact
-                // indifference the inline backend models directly.
-                let consumer_condition = conditions.consumer(consumer);
-                if matches!(consumer_condition, HostCondition::Unresponsive) {
-                    fabricated += 1;
-                }
-                wave.consumer(consumer, consumer_condition.latency_override(), move || {
+                wave.consumer(consumer, down.latency(consumer.raw()), move || {
                     vec![(
                         query.id,
                         candidates
@@ -914,18 +874,8 @@ impl Simulator {
                 // O(candidates) — the wave never walks the rest of the
                 // population.
                 for (p, agent) in self.population.providers.iter_mut_of(candidates) {
-                    let condition = conditions.provider(p);
-                    if matches!(condition, HostCondition::Unresponsive) {
-                        fabricated += 1;
-                    }
-                    wave.provider(p, condition.latency_override(), move || {
-                        let (intention, utilization) = agent.intention_and_utilization(query, now);
-                        vec![ProviderAnswer {
-                            query: query.id,
-                            intention,
-                            utilization,
-                            bid: uses_bids.then(|| agent.bid_for(query, now)),
-                        }]
+                    wave.provider(p, down.latency(p.raw()), move || {
+                        vec![provider_answer(agent, query, now, uses_bids)]
                     });
                 }
 
@@ -936,11 +886,6 @@ impl Simulator {
                         unreachable!("inline is handled above, socket before the gather")
                     }
                 };
-
-                // Assemble the wave's replies through the shared helper
-                // (indifference filled in for anything that missed the
-                // deadline), so the timeout semantics live in exactly one
-                // place.
                 replies.into_query_infos(query.id, candidates, &mut self.scratch.infos);
             }
         }
@@ -1193,11 +1138,11 @@ impl Simulator {
     /// out by the wave server, decoded by the participant-host threads,
     /// and answered by jobs that compute the same Definition 7/8 values
     /// as the other backends — on the *decoded* queries, so the reply
-    /// derives from the bytes that actually travelled. The wire-fault
-    /// plan is computed here, exactly once per wave issued.
+    /// derives from the bytes that actually travelled. A down host gets
+    /// its wire fault injected on every wave it is down for.
     fn mediate_socket_batch(&mut self, batch: Vec<PreparedArrival>) {
         let now = self.now;
-        let fault_plan = self.socket_fault_plan();
+        let down = self.down_hosts();
         let requests: Vec<(Query, Vec<ProviderId>)> = batch
             .iter()
             .map(|a| (a.query.clone(), a.candidates.clone()))
@@ -1241,19 +1186,11 @@ impl Simulator {
             jobs.provider(p, move |decoded, request_bids| {
                 decoded
                     .iter()
-                    .map(|q| {
-                        let (intention, utilization) = agent.intention_and_utilization(q, now);
-                        ProviderAnswer {
-                            query: q.id,
-                            intention,
-                            utilization,
-                            bid: request_bids.then(|| agent.bid_for(q, now)),
-                        }
-                    })
+                    .map(|q| provider_answer(agent, q, now, request_bids))
                     .collect()
             });
         }
-        let gathered = socket.gather_with_faults(&requests, jobs, &fault_plan);
+        let gathered = socket.gather_with_faults(&requests, jobs, &down.faults);
         // The wave's wire timeouts (delta of the accumulated total),
         // credited to the unified indifference accounting exactly like
         // the indifference the in-process backends fabricate.
@@ -1271,70 +1208,39 @@ impl Simulator {
         }
     }
 
-    /// The per-host fault conditions of a wave issued at this instant
-    /// (see [`WaveConditions`]); an empty table outside scenario fault
-    /// runs.
-    fn wave_conditions(&self) -> WaveConditions {
-        let hosts = match &self.scenario {
-            Some(state) if !state.faults.is_empty() => (0..self.config.socket_hosts)
-                .map(|host| {
-                    host_condition_at(
-                        &state.faults,
-                        host,
-                        self.now.as_secs(),
-                        self.config.wave_timeout_ms,
-                    )
-                })
-                .collect(),
-            _ => Vec::new(),
+    /// The hosts down for a wave issued at this instant — the engine's
+    /// only reading of the scenario's transport faults. A
+    /// [`TransportFault::StallHost`] is down inside its window; a
+    /// [`TransportFault::DropHost`] is down from its instant for the rest
+    /// of the run, and wins over a stall of the same host.
+    fn down_hosts(&self) -> DownHosts {
+        let mut down = DownHosts {
+            faults: Vec::new(),
+            hosts: self.config.socket_hosts,
         };
-        WaveConditions { hosts }
-    }
-
-    /// The wire-fault plan of a socket wave issued at this instant: one
-    /// entry per faulted host. A stall (or a delay at/past the deadline)
-    /// is injected for every wave of its window; a [`TransportFault::DropHost`]
-    /// severs the connection in the first wave at or after its instant
-    /// and is spent thereafter — later waves skip the dead host's
-    /// endpoints at fan-out, which the wave server already degrades to
-    /// indifference on its own.
-    fn socket_fault_plan(&mut self) -> Vec<(usize, HostFault)> {
+        let Some(state) = &self.scenario else {
+            return down;
+        };
         let now = self.now.as_secs();
-        let timeout_ms = self.config.wave_timeout_ms;
-        let Some(state) = &mut self.scenario else {
-            return Vec::new();
-        };
-        let mut plan: Vec<(usize, HostFault)> = Vec::new();
-        for (index, fault) in state.faults.iter().enumerate() {
-            let injected = match *fault {
+        for fault in &state.faults {
+            let (host, wire) = match *fault {
                 TransportFault::StallHost {
                     host,
                     from_secs,
                     until_secs,
-                } if now >= from_secs && now < until_secs => Some((host, HostFault::Stall)),
-                TransportFault::DelayHost {
-                    host,
-                    from_secs,
-                    until_secs,
-                    delay_ms,
-                } if now >= from_secs && now < until_secs && delay_ms >= timeout_ms => {
-                    Some((host, HostFault::Stall))
+                } if now >= from_secs && now < until_secs => (host, HostFault::Stall),
+                TransportFault::DropHost { host, at_secs } if now >= at_secs => {
+                    (host, HostFault::Drop)
                 }
-                TransportFault::DropHost { host, at_secs }
-                    if now >= at_secs && !state.drop_fired[index] =>
-                {
-                    state.drop_fired[index] = true;
-                    Some((host, HostFault::Drop))
-                }
-                _ => None,
+                _ => continue,
             };
-            if let Some((host, fault)) = injected {
-                if !plan.iter().any(|&(h, _)| h == host) {
-                    plan.push((host, fault));
-                }
+            match down.faults.iter_mut().find(|(h, _)| *h == host) {
+                Some(entry) if wire == HostFault::Drop => entry.1 = wire,
+                Some(_) => {}
+                None => down.faults.push((host, wire)),
             }
         }
-        plan
+        down
     }
 
     /// Takes a churn group's members down, mirroring the assessment
@@ -1366,11 +1272,7 @@ impl Simulator {
                 self.shard_backlog[shard] -= agent.backlog().value();
             }
             self.router.churn_depart(id);
-            match &mut self.mediation {
-                MediationDriver::Reactor(reactor) => reactor.deregister_provider(id),
-                MediationDriver::Socket(socket) => socket.deregister_provider(id),
-                _ => {}
-            }
+            self.mediation.deregister_provider(id);
             if let Some(matchmaker) = &mut self.matchmaker {
                 matchmaker.deregister(id);
             }
@@ -1425,15 +1327,7 @@ impl Simulator {
             self.shard_capacity[shard] += agent.capacity().units_per_sec();
             self.shard_backlog[shard] += agent.backlog().value();
             self.provider_strikes[id] = 0;
-            match &mut self.mediation {
-                MediationDriver::Reactor(reactor) => {
-                    reactor.register_provider(id, Latency::Immediate);
-                }
-                MediationDriver::Socket(socket) => socket
-                    .register_provider(id)
-                    .expect("socket re-registration of a re-joining provider failed"),
-                _ => {}
-            }
+            self.mediation.register_provider(id);
             if let Some(matchmaker) = &mut self.matchmaker {
                 matchmaker.register(&self.population.providers[id]);
             }
@@ -1471,7 +1365,7 @@ impl Simulator {
             self.shard_backlog[shard] -= work.value();
         }
         let response_time = (self.now - issued_at).as_secs();
-        self.response_times.record(response_time);
+        self.response_time_sum += response_time;
         self.completed += 1;
         self.metrics.queries_completed.inc();
         self.metrics.response_time_seconds.record(response_time);
@@ -1928,13 +1822,7 @@ impl Simulator {
                                 self.shard_backlog[shard] -= agent.backlog().value();
                             }
                             self.router.remove_provider(id);
-                            match &mut self.mediation {
-                                MediationDriver::Reactor(reactor) => {
-                                    reactor.deregister_provider(id)
-                                }
-                                MediationDriver::Socket(socket) => socket.deregister_provider(id),
-                                _ => {}
-                            }
+                            self.mediation.deregister_provider(id);
                             if let Some(matchmaker) = &mut self.matchmaker {
                                 matchmaker.deregister(id);
                             }
@@ -1971,13 +1859,7 @@ impl Simulator {
                         if self.consumer_strikes[id] >= rule.required_consecutive.max(1) {
                             self.population.depart_consumer(id);
                             self.router.remove_consumer(id);
-                            match &mut self.mediation {
-                                MediationDriver::Reactor(reactor) => {
-                                    reactor.deregister_consumer(id)
-                                }
-                                MediationDriver::Socket(socket) => socket.deregister_consumer(id),
-                                _ => {}
-                            }
+                            self.mediation.deregister_consumer(id);
                             self.consumer_departures.push(ConsumerDepartureRecord {
                                 consumer: id,
                                 time_secs: now.as_secs(),
@@ -2051,7 +1933,7 @@ impl Simulator {
             issued_queries: self.issued,
             completed_queries: self.completed,
             unallocated_queries: self.unallocated,
-            response_times: self.response_times,
+            response_time_sum: self.response_time_sum,
             provider_departures: self.provider_departures,
             consumer_departures: self.consumer_departures,
             initial_providers: self.initial_providers,
@@ -2214,7 +2096,7 @@ mod tests {
             mono.series.consumer_allocation_satisfaction_mean.values(),
             k1.series.consumer_allocation_satisfaction_mean.values()
         );
-        assert_eq!(mono.response_times.mean(), k1.response_times.mean(),);
+        assert_eq!(mono.mean_response_time(), k1.mean_response_time());
     }
 
     #[test]
@@ -2665,6 +2547,63 @@ mod tests {
             socket.provider_departures.len(),
             inline.provider_departures.len()
         );
+    }
+
+    #[test]
+    fn a_dropped_socket_host_is_severed_even_when_the_first_wave_misses_it() {
+        // Regression: the drop used to be spent on the first wave at or
+        // after its instant, but a wave skips the hosts it does not
+        // address. At K = 2 over 2 hosts with static routing, a wave on
+        // shard s reaches only host s (its consumer and its providers all
+        // have ids ≡ s mod 2), so a first wave on shard 0 used to leave
+        // host 1 connected and answering for the rest of the run.
+        let mut scenario = Scenario::steady("drop-missed");
+        scenario.faults.push(TransportFault::DropHost {
+            host: 1,
+            at_secs: 10.0,
+        });
+        let config = small_config(60.0, 3)
+            .with_mediator_shards(2)
+            .with_mediation(crate::MediationMode::Socket)
+            .with_socket_hosts(2)
+            .with_wave_timeout_ms(200);
+        let mut sim = Simulator::with_scenario(config, Method::Sqlb, &scenario).unwrap();
+        sim.now = SimTime::from_secs(10.0);
+        let arrival_on = |sim: &Simulator, raw: u32| {
+            let consumer = ConsumerId::new(raw);
+            let shard = raw as usize;
+            PreparedArrival {
+                query: Query::single(QueryId::new(raw), consumer, QueryClass::Light, sim.now),
+                shard,
+                candidates: sim.router.providers_of_shard(shard).to_vec(),
+            }
+        };
+        let live_hosts = |sim: &Simulator| match &sim.mediation {
+            MediationDriver::Socket(socket) => socket.live_hosts(),
+            _ => unreachable!("the test runs the socket backend"),
+        };
+
+        let first = arrival_on(&sim, 0);
+        sim.mediate_socket_batch(vec![first]);
+        assert_eq!(
+            live_hosts(&sim),
+            2,
+            "a wave on shard 0 never touches host 1"
+        );
+
+        let second = arrival_on(&sim, 1);
+        sim.mediate_socket_batch(vec![second]);
+        assert_eq!(
+            live_hosts(&sim),
+            1,
+            "the first wave addressing host 1 drops it"
+        );
+        assert!(!sim.scratch.infos.is_empty());
+        for info in &sim.scratch.infos {
+            assert_eq!(info.consumer_intention, 0.0);
+            assert_eq!(info.provider_intention, 0.0);
+            assert_eq!(info.utilization, 0.0);
+        }
     }
 
     #[test]

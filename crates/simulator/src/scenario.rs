@@ -146,12 +146,13 @@ pub struct ChurnGroup {
 }
 
 /// A transport fault on one participant host, in the socket backend's
-/// host partition (`raw id % socket_hosts`). On the in-process backends
-/// the same fault is modeled at the mediation seam (skipped agent calls
-/// / `Never` endpoint latencies), which is observably identical — both
-/// degrade the host's replies to indifference — so Inline and Reactor
-/// runs of a fault scenario stay digest-identical while the Socket run
-/// exercises the genuine wire-level misbehavior.
+/// host partition (`raw id % socket_hosts`). The engine reads the fault
+/// list in one place and applies the result on every backend: the
+/// in-process ones model a down host at the mediation seam (skipped agent
+/// calls / `Never` endpoint latencies), which is observably identical —
+/// both degrade the host's replies to indifference — so Inline, Threaded
+/// and Reactor runs of a fault scenario stay digest-identical while the
+/// Socket run exercises the genuine wire-level misbehavior.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TransportFault {
     /// The host answers nothing in waves issued within
@@ -165,30 +166,18 @@ pub enum TransportFault {
         /// Fault end in virtual seconds.
         until_secs: f64,
     },
-    /// The host's connection drops mid-wave in the first wave issued at
-    /// or after `at_secs` and stays down for the rest of the run: that
-    /// wave's replies time out, and every later wave skips the host's
-    /// endpoints at fan-out (instant indifference).
+    /// The host goes down at `at_secs` and the engine keeps it down for
+    /// the rest of the run, on every backend: every wave issued at or
+    /// after `at_secs` reads the host's replies as indifference. On the
+    /// socket backend the connection drops mid-wave in the first such
+    /// wave that addresses the host, and later waves skip its endpoints
+    /// at fan-out; a re-joining endpoint's fresh connection is dropped
+    /// the same way.
     DropHost {
         /// Faulted host index, `< socket_hosts`.
         host: usize,
         /// Drop instant in virtual seconds.
         at_secs: f64,
-    },
-    /// The host's replies lag by `delay_ms` in waves issued within
-    /// `[from_secs, until_secs)`. A delay at or beyond the wave timeout
-    /// behaves exactly like [`TransportFault::StallHost`]; a shorter one
-    /// still makes the deadline and is absorbed by the wave semantics
-    /// (no observable change to the report — pinned by tests).
-    DelayHost {
-        /// Faulted host index, `< socket_hosts`.
-        host: usize,
-        /// Fault onset in virtual seconds.
-        from_secs: f64,
-        /// Fault end in virtual seconds.
-        until_secs: f64,
-        /// Reply lag in milliseconds.
-        delay_ms: u64,
     },
 }
 
@@ -196,9 +185,7 @@ impl TransportFault {
     /// The faulted host index.
     pub fn host(&self) -> usize {
         match *self {
-            TransportFault::StallHost { host, .. }
-            | TransportFault::DropHost { host, .. }
-            | TransportFault::DelayHost { host, .. } => host,
+            TransportFault::StallHost { host, .. } | TransportFault::DropHost { host, .. } => host,
         }
     }
 }
@@ -314,24 +301,17 @@ impl Scenario {
                     config.socket_hosts
                 )));
             }
-            match *fault {
-                TransportFault::StallHost {
-                    from_secs,
-                    until_secs,
-                    ..
+            if let TransportFault::StallHost {
+                from_secs,
+                until_secs,
+                ..
+            } = *fault
+            {
+                if until_secs <= from_secs {
+                    return Err(invalid(format!(
+                        "fault window [{from_secs}, {until_secs}) is empty"
+                    )));
                 }
-                | TransportFault::DelayHost {
-                    from_secs,
-                    until_secs,
-                    ..
-                } => {
-                    if until_secs <= from_secs {
-                        return Err(invalid(format!(
-                            "fault window [{from_secs}, {until_secs}) is empty"
-                        )));
-                    }
-                }
-                TransportFault::DropHost { .. } => {}
             }
         }
         Ok(())
@@ -546,11 +526,10 @@ mod tests {
         assert!(s.validate(&config).is_err());
         s.faults.clear();
 
-        s.faults.push(TransportFault::DelayHost {
+        s.faults.push(TransportFault::StallHost {
             host: 0,
             from_secs: 5.0,
             until_secs: 5.0,
-            delay_ms: 10,
         });
         assert!(s.validate(&config).is_err());
         s.faults.clear();

@@ -1,7 +1,7 @@
 //! Measurement collection and the simulation report.
 
 use sqlb_agents::{DepartureReason, ProviderProfile};
-use sqlb_metrics::{Histogram, Summary, TimeSeries};
+use sqlb_metrics::{Summary, TimeSeries};
 use sqlb_types::{ConsumerId, ProviderId};
 
 /// All metric time series recorded during a run. Each series is sampled at
@@ -119,8 +119,10 @@ pub struct SimulationReport {
     /// Queries that could not be allocated because no provider remained in
     /// the system.
     pub unallocated_queries: u64,
-    /// Response-time distribution of completed queries (seconds).
-    pub response_times: Histogram,
+    /// Sum of the response times of the completed queries (seconds),
+    /// added in completion order; divided by `completed_queries` it is
+    /// [`SimulationReport::mean_response_time`].
+    pub response_time_sum: f64,
     /// Provider departures, in chronological order.
     pub provider_departures: Vec<DepartureRecord>,
     /// Consumer departures, in chronological order.
@@ -206,7 +208,11 @@ impl Fnv {
 impl SimulationReport {
     /// Mean response time of completed queries, in seconds.
     pub fn mean_response_time(&self) -> f64 {
-        self.response_times.mean()
+        if self.completed_queries == 0 {
+            0.0
+        } else {
+            self.response_time_sum / self.completed_queries as f64
+        }
     }
 
     /// A bit-exact digest of the report: the raw IEEE-754 bits of every
@@ -377,7 +383,7 @@ mod tests {
             issued_queries: 0,
             completed_queries: 0,
             unallocated_queries: 0,
-            response_times: Histogram::new(0.0, 60.0, 60),
+            response_time_sum: 0.0,
             provider_departures: Vec::new(),
             consumer_departures: Vec::new(),
             initial_providers: 0,
@@ -444,8 +450,8 @@ mod tests {
     #[test]
     fn response_time_mean_reflects_records() {
         let mut r = empty_report();
-        r.response_times.record(2.0);
-        r.response_times.record(4.0);
+        r.completed_queries = 2;
+        r.response_time_sum = 2.0 + 4.0;
         assert!((r.mean_response_time() - 3.0).abs() < 1e-12);
     }
 

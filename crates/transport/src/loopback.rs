@@ -120,7 +120,12 @@ pub enum HostFault {
     /// requests, then shuts the stream down without replying. The server
     /// sees the EOF, closes the slot, and every later wave skips the
     /// host's endpoints at fan-out (instant indifference, no deadline
-    /// wait) until they re-register over a fresh connection.
+    /// wait) until they re-register over a fresh connection. A host the
+    /// wave does not address keeps its link; the simulation engine passes
+    /// `Drop` for a dropped host on every wave from the fault on, so the
+    /// first wave that addresses it severs it, and a fresh connection of
+    /// a re-joining endpoint is severed again the same way: the engine
+    /// keeps a dropped host down.
     Drop,
 }
 

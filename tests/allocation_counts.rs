@@ -15,7 +15,8 @@
 //!   path (`Simulator::handle_arrival`), not a hand-written copy of it;
 //! * what the 32 × 64 shard-throughput run costs at K = 1, 2, 4 and 8
 //!   mediator shards, so shard routing and the satisfaction-view sync
-//!   exchange are pinned too.
+//!   exchange are pinned too, and what its K = 1 run costs with the
+//!   observability layer on.
 //!
 //! An "allocation" is one call to `alloc`, `alloc_zeroed` or `realloc`.
 //! A change to a pinned count is a behaviour change: update the pin only
@@ -250,10 +251,10 @@ fn steady_state_inline_arrivals_allocate_a_pinned_count() {
 }
 
 /// Allocations of [`engine_run_allocations`] on the inline backend.
-const INLINE_RUN_PIN: u64 = 2050;
+const INLINE_RUN_PIN: u64 = 2049;
 /// Allocations of [`engine_run_allocations`] on the reactor backend: the
 /// inline count plus each wave's boxed jobs and reply vectors.
-const REACTOR_RUN_PIN: u64 = 9587;
+const REACTOR_RUN_PIN: u64 = 9586;
 
 /// Allocations made by `Simulator::new` plus `run` for one small fixed
 /// run on `mediation`: population build, backend set-up, every arrival,
@@ -292,18 +293,24 @@ fn a_reactor_engine_run_allocates_a_pinned_count() {
 /// Allocations of [`sharded_run_allocations`] at K = 1, 2, 4 and 8
 /// mediator shards. Past K = 1 they cover `ShardRouter` routing and the
 /// periodic `SyncViews` exchange of satisfaction digests between shards.
-const SHARDED_RUN_PINS: [(usize, u64); 4] = [(1, 12_540), (2, 13_336), (4, 13_672), (8, 13_850)];
+const SHARDED_RUN_PINS: [(usize, u64); 4] = [(1, 12_539), (2, 13_335), (4, 13_671), (8, 13_849)];
 
 /// Allocations made by `Simulator::new` plus `run` for the 32 × 64
 /// shard-throughput configuration of the `allocation` bench
 /// (`sqlb_bench::perf::bench_config`, inlined here: the facade does not
 /// depend on the bench crate), inline, on one scoring thread.
 fn sharded_run_allocations(shards: usize) -> u64 {
+    sharded_run_allocations_with(shards, false)
+}
+
+/// [`sharded_run_allocations`] with the observability layer switched on
+/// or off.
+fn sharded_run_allocations_with(shards: usize, observability: bool) -> u64 {
     let config = SimulationConfig::scaled(32, 64, 400.0, 7)
         .with_workload(WorkloadPattern::Fixed(0.6))
         .with_mediator_shards(shards)
         .with_scoring_threads(1)
-        .with_observability(false);
+        .with_observability(observability);
     let (report, allocations) = counted(|| {
         Simulator::new(config, Method::Sqlb)
             .expect("valid config")
@@ -318,4 +325,16 @@ fn sharded_engine_runs_allocate_pinned_counts() {
     for (shards, pin) in SHARDED_RUN_PINS {
         assert_eq!(sharded_run_allocations(shards), pin, "K={shards}");
     }
+}
+
+/// Allocations of the K = 1 row of [`sharded_run_allocations`] with the
+/// observability layer on: the obs-off pin plus 32 allocations of the
+/// live layer (registry, named instruments, recorder). Digest equality with
+/// obs on and off (`tests/observability.rs`) and this pin together gate
+/// the layer's cost; a wall-clock overhead percentage is only printed.
+const OBSERVED_K1_RUN_PIN: u64 = 12_571;
+
+#[test]
+fn an_observed_sharded_run_allocates_a_pinned_count() {
+    assert_eq!(sharded_run_allocations_with(1, true), OBSERVED_K1_RUN_PIN);
 }

@@ -12,10 +12,11 @@
 //!    [`RejoinPolicy::Reset`] — the two policies must produce different
 //!    runs when a re-join happens and identical runs when none does.
 //! 3. **Hostile transport degrades the same way everywhere.** Churn plus
-//!    a stalled host produces bit-identical reports on the inline and
-//!    reactor backends (the fault model is virtual-clock exact), and the
-//!    socket backend — where the stall is a real silent TCP peer —
-//!    degrades the missing replies to indifference and still terminates.
+//!    a stalled or a dropped host produces bit-identical reports on the
+//!    inline, threaded and reactor backends (the fault model is
+//!    virtual-clock exact), and the socket backend — where the stall is a
+//!    real silent TCP peer — degrades the missing replies to indifference
+//!    and still terminates.
 //! 4. **A flash crowd does not starve rebalancing.** Load-reactive
 //!    routing under a burst still runs its due `Rebalance` rounds, on
 //!    every backend, with identical digests — and wave coalescing under
@@ -141,34 +142,49 @@ fn a_rejoin_free_churn_group_makes_the_policy_irrelevant() {
 
 #[test]
 fn churn_and_stalls_agree_across_in_process_backends() {
-    let mut scenario = Scenario::steady("churn-stall");
-    scenario.churn.push(churn_group(RejoinPolicy::Resume));
-    scenario.faults.push(TransportFault::StallHost {
+    // Both fault kinds, each on top of churn: a stall window and a
+    // permanent drop. The fault model is virtual-clock exact, so every
+    // in-process backend must read the same down hosts in the same waves.
+    let stall = TransportFault::StallHost {
         host: 1,
         from_secs: 30.0,
         until_secs: 80.0,
-    });
-    let run = |mode: MediationMode| {
-        run_scenario(
-            small_config(3).with_mediation(mode),
-            Method::Sqlb,
-            &scenario,
-        )
-        .expect("faulted run")
     };
-    let inline = run(MediationMode::Inline);
-    let reactor = run(MediationMode::Reactor);
-    assert_eq!(
-        inline.digest(),
-        reactor.digest(),
-        "the virtual fault model must be backend-independent"
-    );
-    assert!(
-        inline.indifferent_replies > 0,
-        "a stalled host must be accounted as timeout-to-indifference"
-    );
-    assert_eq!(inline.indifferent_replies, reactor.indifferent_replies);
-    assert!(inline.churn_rejoins > 0);
+    let drop = TransportFault::DropHost {
+        host: 1,
+        at_secs: 60.0,
+    };
+    for fault in [stall, drop] {
+        let mut scenario = Scenario::steady("churn-fault");
+        scenario.churn.push(churn_group(RejoinPolicy::Resume));
+        scenario.faults.push(fault);
+        let run = |mode: MediationMode| {
+            run_scenario(
+                small_config(3).with_mediation(mode),
+                Method::Sqlb,
+                &scenario,
+            )
+            .expect("faulted run")
+        };
+        let inline = run(MediationMode::Inline);
+        for mode in [MediationMode::Threaded, MediationMode::Reactor] {
+            let other = run(mode);
+            assert_eq!(
+                inline.digest(),
+                other.digest(),
+                "{fault:?} on {mode:?}: the virtual fault model must be backend-independent"
+            );
+            assert_eq!(
+                inline.indifferent_replies, other.indifferent_replies,
+                "{fault:?} on {mode:?}"
+            );
+        }
+        assert!(
+            inline.indifferent_replies > 0,
+            "{fault:?}: a down host must be accounted as timeout-to-indifference"
+        );
+        assert!(inline.churn_rejoins > 0);
+    }
 }
 
 #[test]
