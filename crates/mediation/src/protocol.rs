@@ -9,16 +9,12 @@
 //! result to the `P_q \ \hat{P}_q` providers", i.e. also tells the
 //! candidates that were *not* selected.
 //!
-//! Two request shapes exist side by side:
-//!
-//! * the **single-query** requests of the original runtime (one message
-//!   per query per participant);
-//! * the **wave** requests the reactor and the socket transport natively
-//!   speak ([`MediatorMessage::ConsumerWaveRequest`] /
-//!   [`MediatorMessage::ProviderWaveRequest`]): one message per
-//!   participant covering every query of a mediation batch, answered in
-//!   one reply. Waves are numbered so a reply that arrives after its
-//!   wave's deadline can be recognized as stale and discarded.
+//! Intentions are requested in **waves**
+//! ([`MediatorMessage::ConsumerWaveRequest`] /
+//! [`MediatorMessage::ProviderWaveRequest`]): one message per participant
+//! covering every query of a mediation batch, answered in one reply.
+//! Waves are numbered so a reply that arrives after its wave's deadline
+//! can be recognized as stale and discarded.
 //!
 //! # Multiplexed connections
 //!
@@ -40,7 +36,7 @@
 //!   end ever blocks writing while the other is blocked writing too).
 //!
 //! Wave requests carry the **full query** `q = <c, d, n>` (not just its
-//! id): a remote endpoint needs the class, description and cost to
+//! id): a remote endpoint needs the description's class and cost to
 //! compute its Definition 7/8 intention, and the engine's determinism
 //! contract relies on the decoded query being bit-identical to the
 //! encoded one (`f64`s travel as raw IEEE-754 bits).
@@ -59,8 +55,9 @@
 //! — with all integers little-endian, `f64`s as their IEEE-754 bits,
 //! strings as a `u32` byte count followed by UTF-8 bytes, vectors as a
 //! `u32` count followed by the elements, and options as a `0`/`1`
-//! presence byte. Decoding never panics on malformed input: a short
-//! buffer yields [`FrameError::Truncated`], an unknown tag
+//! presence byte. Tag numbers are stable across revisions; tags 1 and 2
+//! are unassigned in both directions. Decoding never panics on malformed
+//! input: a short buffer yields [`FrameError::Truncated`], an unknown tag
 //! [`FrameError::UnknownTag`], a frame whose payload disagrees with its
 //! declared length [`FrameError::TrailingBytes`], and a declared payload
 //! beyond [`MAX_FRAME_PAYLOAD`] is rejected as [`FrameError::Oversized`]
@@ -86,26 +83,9 @@ pub const MAX_FRAME_PAYLOAD: usize = 16 * 1024 * 1024;
 /// Messages sent by the mediator to participants.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MediatorMessage {
-    /// Ask the consumer for its intentions towards the candidate providers
-    /// of one of its queries (Algorithm 1, line 2).
-    ConsumerIntentionRequest {
-        /// The query being allocated.
-        query: QueryId,
-        /// The candidate set `P_q`.
-        candidates: Vec<ProviderId>,
-    },
-    /// Ask a provider for its intention to perform a query
-    /// (Algorithm 1, lines 3–4).
-    ProviderIntentionRequest {
-        /// The query being allocated.
-        query: QueryId,
-        /// Whether the provider should also return a bid (economic
-        /// methods).
-        request_bid: bool,
-    },
-    /// Ask the consumer for its intentions for *every* query of one
-    /// mediation wave, in one round-trip (the shape the reactor and the
-    /// socket transport natively speak).
+    /// Ask the consumer for its intentions towards the candidate
+    /// providers of *every* query of one mediation wave, in one
+    /// round-trip (Algorithm 1, line 2).
     ConsumerWaveRequest {
         /// Identifier of the wave the replies belong to.
         wave: u64,
@@ -117,7 +97,8 @@ pub enum MediatorMessage {
         requests: Vec<(Query, Vec<ProviderId>)>,
     },
     /// Ask a provider for its intention (and optionally bid) for every
-    /// query of one mediation wave that lists it as a candidate.
+    /// query of one mediation wave that lists it as a candidate
+    /// (Algorithm 1, lines 3–4).
     ProviderWaveRequest {
         /// Identifier of the wave the replies belong to.
         wave: u64,
@@ -170,26 +151,6 @@ pub enum MediatorMessage {
 /// Replies sent by participants to the mediator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParticipantReply {
-    /// The consumer's intentions towards the candidate providers.
-    ConsumerIntentions {
-        /// The query the intentions are about.
-        query: QueryId,
-        /// The consumer that answered.
-        consumer: ConsumerId,
-        /// One `(provider, intention)` pair per candidate.
-        intentions: Vec<(ProviderId, f64)>,
-    },
-    /// A provider's intention (and optional bid) for a query.
-    ProviderIntention {
-        /// The query the intention is about.
-        query: QueryId,
-        /// The provider that answered.
-        provider: ProviderId,
-        /// The provider's intention `pi_p(q)`.
-        intention: f64,
-        /// The provider's bid, when requested.
-        bid: Option<Bid>,
-    },
     /// A consumer's answer to a [`MediatorMessage::ConsumerWaveRequest`].
     ConsumerWaveReply {
         /// The wave this reply answers.
@@ -231,29 +192,6 @@ pub enum ParticipantReply {
     /// connection. Any connected host may send it at any moment —
     /// including mid-run, between or during waves.
     StatsRequest,
-}
-
-impl ParticipantReply {
-    /// The query a single-query reply is about; `None` for wave replies,
-    /// which cover several queries at once, and for connection-lifecycle
-    /// messages.
-    pub fn query(&self) -> Option<QueryId> {
-        match self {
-            ParticipantReply::ConsumerIntentions { query, .. } => Some(*query),
-            ParticipantReply::ProviderIntention { query, .. } => Some(*query),
-            _ => None,
-        }
-    }
-
-    /// The wave a wave reply answers; `None` for single-query replies and
-    /// connection-lifecycle messages.
-    pub fn wave(&self) -> Option<u64> {
-        match self {
-            ParticipantReply::ConsumerWaveReply { wave, .. } => Some(*wave),
-            ParticipantReply::ProviderWaveReply { wave, .. } => Some(*wave),
-            _ => None,
-        }
-    }
 }
 
 /// Why a frame could not be decoded.
@@ -363,11 +301,6 @@ impl<'a> FrameWriter<'a> {
     fn query(&mut self, query: &Query) {
         self.u32(query.id.raw());
         self.u32(query.consumer.raw());
-        self.str(&query.description.topic);
-        self.count(query.description.attributes.len());
-        for attribute in &query.description.attributes {
-            self.str(attribute);
-        }
         match query.description.class {
             QueryClass::Light => self.u8(0),
             QueryClass::Heavy => self.u8(1),
@@ -403,21 +336,6 @@ pub fn encode_mediator_message(message: &MediatorMessage) -> Vec<u8> {
 /// whole wave reuses one scratch buffer for every message of the burst.
 pub fn encode_mediator_message_into(message: &MediatorMessage, out: &mut Vec<u8>) {
     match message {
-        MediatorMessage::ConsumerIntentionRequest { query, candidates } => {
-            let mut w = FrameWriter::over(out, 1);
-            w.u32(query.raw());
-            w.count(candidates.len());
-            for p in candidates {
-                w.u32(p.raw());
-            }
-            w.finish()
-        }
-        MediatorMessage::ProviderIntentionRequest { query, request_bid } => {
-            let mut w = FrameWriter::over(out, 2);
-            w.u32(query.raw());
-            w.bool(*request_bid);
-            w.finish()
-        }
         MediatorMessage::ConsumerWaveRequest {
             wave,
             consumer,
@@ -521,34 +439,6 @@ pub fn encode_participant_reply(reply: &ParticipantReply) -> Vec<u8> {
 /// [`encode_mediator_message_into`]).
 pub fn encode_participant_reply_into(reply: &ParticipantReply, out: &mut Vec<u8>) {
     match reply {
-        ParticipantReply::ConsumerIntentions {
-            query,
-            consumer,
-            intentions,
-        } => {
-            let mut w = FrameWriter::over(out, 1);
-            w.u32(query.raw());
-            w.u32(consumer.raw());
-            w.count(intentions.len());
-            for (p, intention) in intentions {
-                w.u32(p.raw());
-                w.f64(*intention);
-            }
-            w.finish()
-        }
-        ParticipantReply::ProviderIntention {
-            query,
-            provider,
-            intention,
-            bid,
-        } => {
-            let mut w = FrameWriter::over(out, 2);
-            w.u32(query.raw());
-            w.u32(provider.raw());
-            w.f64(*intention);
-            w.bid(bid);
-            w.finish()
-        }
         ParticipantReply::ConsumerWaveReply {
             wave,
             consumer,
@@ -710,12 +600,6 @@ impl<'a> FrameReader<'a> {
     fn query(&mut self) -> Result<Query, FrameError> {
         let id = QueryId::new(self.u32()?);
         let consumer = ConsumerId::new(self.u32()?);
-        let topic = self.str()?;
-        let attribute_count = self.count()?;
-        let mut attributes = Vec::with_capacity(attribute_count);
-        for _ in 0..attribute_count {
-            attributes.push(self.str()?);
-        }
         let class = match self.u8()? {
             0 => QueryClass::Light,
             1 => QueryClass::Heavy,
@@ -728,12 +612,7 @@ impl<'a> FrameReader<'a> {
         Ok(Query {
             id,
             consumer,
-            description: QueryDescription {
-                topic,
-                attributes,
-                class,
-                cost,
-            },
+            description: QueryDescription { class, cost },
             n,
             issued_at,
         })
@@ -766,19 +645,6 @@ pub fn decode_mediator_message(bytes: &[u8]) -> Result<(MediatorMessage, usize),
     let mut r = FrameReader::open(bytes)?;
     let tag = r.u8()?;
     let message = match tag {
-        1 => {
-            let query = QueryId::new(r.u32()?);
-            let n = r.count()?;
-            let mut candidates = Vec::with_capacity(n);
-            for _ in 0..n {
-                candidates.push(ProviderId::new(r.u32()?));
-            }
-            MediatorMessage::ConsumerIntentionRequest { query, candidates }
-        }
-        2 => MediatorMessage::ProviderIntentionRequest {
-            query: QueryId::new(r.u32()?),
-            request_bid: r.bool()?,
-        },
         3 => {
             let wave = r.u64()?;
             let consumer = ConsumerId::new(r.u32()?);
@@ -880,26 +746,6 @@ pub fn decode_participant_reply(bytes: &[u8]) -> Result<(ParticipantReply, usize
     let mut r = FrameReader::open(bytes)?;
     let tag = r.u8()?;
     let reply = match tag {
-        1 => {
-            let query = QueryId::new(r.u32()?);
-            let consumer = ConsumerId::new(r.u32()?);
-            let n = r.count()?;
-            let mut intentions = Vec::with_capacity(n);
-            for _ in 0..n {
-                intentions.push((ProviderId::new(r.u32()?), r.f64()?));
-            }
-            ParticipantReply::ConsumerIntentions {
-                query,
-                consumer,
-                intentions,
-            }
-        }
-        2 => ParticipantReply::ProviderIntention {
-            query: QueryId::new(r.u32()?),
-            provider: ProviderId::new(r.u32()?),
-            intention: r.f64()?,
-            bid: r.bid()?,
-        },
         3 => {
             let wave = r.u64()?;
             let consumer = ConsumerId::new(r.u32()?);
@@ -1113,9 +959,7 @@ mod tests {
         Query {
             id: QueryId::new(77),
             consumer: ConsumerId::new(3),
-            description: QueryDescription::with_topic("shipping/international", QueryClass::Light)
-                .attribute("origin:FR")
-                .attribute("destination:US")
+            description: QueryDescription::for_class(QueryClass::Custom(5))
                 .with_cost(WorkUnits::new(137.5)),
             n: 3,
             issued_at: SimTime::from_secs(0.1),
@@ -1124,14 +968,6 @@ mod tests {
 
     fn all_messages() -> Vec<MediatorMessage> {
         vec![
-            MediatorMessage::ConsumerIntentionRequest {
-                query: QueryId::new(3),
-                candidates: vec![ProviderId::new(0), ProviderId::new(7)],
-            },
-            MediatorMessage::ProviderIntentionRequest {
-                query: QueryId::new(1),
-                request_bid: true,
-            },
             MediatorMessage::ConsumerWaveRequest {
                 wave: 42,
                 consumer: ConsumerId::new(1),
@@ -1182,17 +1018,6 @@ mod tests {
 
     fn all_replies() -> Vec<ParticipantReply> {
         vec![
-            ParticipantReply::ConsumerIntentions {
-                query: QueryId::new(3),
-                consumer: ConsumerId::new(1),
-                intentions: vec![(ProviderId::new(0), 0.5), (ProviderId::new(7), -0.25)],
-            },
-            ParticipantReply::ProviderIntention {
-                query: QueryId::new(9),
-                provider: ProviderId::new(2),
-                intention: -0.25,
-                bid: Some(Bid::new(10.0, 1.0)),
-            },
             ParticipantReply::ConsumerWaveReply {
                 wave: 42,
                 consumer: ConsumerId::new(1),
@@ -1304,24 +1129,29 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_rejected() {
-        let frame = vec![1, 0, 0, 0, 200];
-        assert_eq!(
-            decode_mediator_message(&frame).unwrap_err(),
-            FrameError::UnknownTag(200)
-        );
-        assert_eq!(
-            decode_participant_reply(&frame).unwrap_err(),
-            FrameError::UnknownTag(200)
-        );
+        // 1 and 2 are unassigned in both directions; 200 is past the
+        // last tag.
+        for tag in [200, 1, 2] {
+            let frame = vec![1, 0, 0, 0, tag];
+            assert_eq!(
+                decode_mediator_message(&frame).unwrap_err(),
+                FrameError::UnknownTag(tag)
+            );
+            assert_eq!(
+                decode_participant_reply(&frame).unwrap_err(),
+                FrameError::UnknownTag(tag)
+            );
+        }
     }
 
     #[test]
     fn corrupted_counts_cannot_drive_huge_allocations() {
-        // A ConsumerIntentionRequest whose candidate count claims u32::MAX
-        // with no bytes behind it must fail cleanly.
+        // An AllocationResult whose provider count claims u32::MAX with
+        // no bytes behind it must fail cleanly.
         let mut bytes = Vec::new();
-        let mut frame = FrameWriter::over(&mut bytes, 1);
+        let mut frame = FrameWriter::over(&mut bytes, 6);
         frame.u32(1);
+        frame.u32(2);
         frame.u32(u32::MAX);
         frame.finish();
         assert_eq!(
@@ -1529,20 +1359,16 @@ mod tests {
 
     #[test]
     fn invalid_utf8_in_strings_is_rejected() {
-        let mut message = encode_mediator_message(&MediatorMessage::ProviderWaveRequest {
-            wave: 1,
-            provider: ProviderId::new(0),
-            queries: vec![Query {
-                description: QueryDescription::with_topic("ab", QueryClass::Light),
-                ..wave_query(1)
-            }],
-            request_bids: false,
+        let mut message = encode_mediator_message(&MediatorMessage::StatsReply {
+            snapshot: ObsSnapshot {
+                counters: vec![("ab".into(), 1)],
+                ..ObsSnapshot::default()
+            },
         });
-        // The topic's two bytes sit right after the fixed prefix:
-        // frame(4) + tag(1) + wave(8) + provider(4) + count(4) + id(4) +
-        // consumer(4) + topic length(4) = offset 33.
-        message[33] = 0xFF;
-        message[34] = 0xFE;
+        // The counter name's two bytes sit right after the fixed prefix:
+        // frame(4) + tag(1) + counter count(4) + name length(4) = offset 13.
+        message[13] = 0xFF;
+        message[14] = 0xFE;
         assert_eq!(
             decode_mediator_message(&message).unwrap_err(),
             FrameError::InvalidUtf8
@@ -1550,32 +1376,8 @@ mod tests {
     }
 
     #[test]
-    fn replies_expose_their_query_or_wave() {
-        let single = ParticipantReply::ConsumerIntentions {
-            query: QueryId::new(3),
-            consumer: ConsumerId::new(1),
-            intentions: vec![(ProviderId::new(0), 0.5)],
-        };
-        assert_eq!(single.query(), Some(QueryId::new(3)));
-        assert_eq!(single.wave(), None);
-        let wave = ParticipantReply::ProviderWaveReply {
-            wave: 9,
-            provider: ProviderId::new(2),
-            utilization: 0.0,
-            intentions: vec![],
-        };
-        assert_eq!(wave.query(), None);
-        assert_eq!(wave.wave(), Some(9));
-        assert_eq!(ParticipantReply::Goodbye.query(), None);
-        assert_eq!(ParticipantReply::Goodbye.wave(), None);
-    }
-
-    #[test]
     fn messages_are_cloneable_and_comparable() {
-        let m = MediatorMessage::ProviderIntentionRequest {
-            query: QueryId::new(1),
-            request_bid: true,
-        };
+        let m = MediatorMessage::WaveEnd { wave: 1 };
         assert_eq!(m.clone(), m);
         let n = MediatorMessage::AllocationNotice {
             query: QueryId::new(1),

@@ -961,12 +961,9 @@ impl AsyncMediator {
             by_consumer
                 .entry(query.consumer)
                 .or_default()
-                .push((query.clone(), candidates.clone()));
+                .push((*query, candidates.clone()));
             for provider in candidates {
-                by_provider
-                    .entry(*provider)
-                    .or_default()
-                    .push(query.clone());
+                by_provider.entry(*provider).or_default().push(*query);
             }
         }
 
@@ -1021,7 +1018,7 @@ impl AsyncMediator {
 
     /// Single-query convenience over [`AsyncMediator::gather_batch`].
     pub fn gather(&mut self, query: &Query, candidates: &[ProviderId]) -> Vec<CandidateInfo> {
-        let requests = [(query.clone(), candidates.to_vec())];
+        let requests = [(*query, candidates.to_vec())];
         self.gather_batch(&requests)
             .into_iter()
             .next()
@@ -1059,7 +1056,7 @@ impl AsyncMediator {
         method: &mut M,
         state: &mut MediatorState,
     ) -> Allocation {
-        let requests = [(query.clone(), candidates.to_vec())];
+        let requests = [(*query, candidates.to_vec())];
         self.mediate_batch(&requests, method, state)
             .into_iter()
             .next()

@@ -174,14 +174,6 @@ pub struct SimulationConfig {
     /// not per endpoint). Ignored unless `mediation` is
     /// [`MediationMode::Socket`].
     pub socket_hosts: usize,
-    /// Whether the candidate set `P_q` is produced by capability
-    /// matchmaking (`sqlb-matchmaking`) instead of "every provider of
-    /// the shard". Defaults to `false` — the paper's all-providers
-    /// behaviour, which keeps K=1 digests unchanged. When enabled,
-    /// queries are tagged with their class topic and only providers
-    /// whose declared capabilities cover it are candidates (with a
-    /// fall-back to the whole shard if no capable provider remains).
-    pub capability_matchmaking: bool,
     /// Number of threads the Definition 7/8 scoring kernel fans a shard's
     /// candidate batch over. `1` (the default) scores inline, which also
     /// enables the lazy-argmax K=1 fast path. Any value produces
@@ -246,7 +238,6 @@ impl SimulationConfig {
             migration_min_spread: 0.1,
             mediation: MediationMode::Inline,
             socket_hosts: 2,
-            capability_matchmaking: false,
             scoring_threads: 1,
             socket_wave_coalescing: true,
             wave_timeout_ms: 5_000,
@@ -302,7 +293,6 @@ impl SimulationConfig {
             migration_min_spread: 0.1,
             mediation: MediationMode::Inline,
             socket_hosts: 2,
-            capability_matchmaking: false,
             scoring_threads: 1,
             socket_wave_coalescing: true,
             wave_timeout_ms: 5_000,
@@ -394,13 +384,6 @@ impl SimulationConfig {
     /// backend (ignored by the other backends).
     pub fn with_socket_wave_coalescing(mut self, enabled: bool) -> Self {
         self.socket_wave_coalescing = enabled;
-        self
-    }
-
-    /// Enables (or disables) capability matchmaking for the candidate
-    /// set `P_q`.
-    pub fn with_capability_matchmaking(mut self, enabled: bool) -> Self {
-        self.capability_matchmaking = enabled;
         self
     }
 
@@ -558,10 +541,6 @@ mod tests {
             assert!(c.rebalance_interval_secs > 0.0);
             assert!(c.migration_min_spread > 0.0);
             assert_eq!(c.mediation, MediationMode::Inline);
-            assert!(
-                !c.capability_matchmaking,
-                "the paper's all-providers candidate set is the default"
-            );
             assert!(c.socket_hosts >= 1);
             assert_eq!(c.scoring_threads, 1, "sequential scoring is the default");
             assert!(
@@ -610,11 +589,9 @@ mod tests {
 
         let c = SimulationConfig::scaled(10, 20, 100.0, 0)
             .with_mediation(MediationMode::Socket)
-            .with_socket_hosts(4)
-            .with_capability_matchmaking(true);
+            .with_socket_hosts(4);
         assert_eq!(c.mediation, MediationMode::Socket);
         assert_eq!(c.socket_hosts, 4);
-        assert!(c.capability_matchmaking);
         assert!(c.validate().is_ok());
 
         let mut c =

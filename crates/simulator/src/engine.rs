@@ -46,7 +46,6 @@ use sqlb_types::{
 
 use crate::config::{MediationMode, Method, SimulationConfig};
 use crate::events::{Event, EventQueue};
-use crate::matchmaking::{class_topic, intersect_sorted, ClassMatchmaker};
 use crate::routing::{RoutingPolicy, ShardLoadView};
 use crate::scenario::{CompiledChurnGroup, RejoinPolicy, Scenario, TransportFault};
 use crate::shard::ShardRouter;
@@ -62,8 +61,6 @@ use crate::workload::{arrival_rate, sample_interarrival};
 /// (buffers grow to the candidate-set high-water mark and stay there).
 #[derive(Debug, Default)]
 struct ArrivalScratch {
-    /// The filtered candidate set, when capability matchmaking is on.
-    candidates: Vec<ProviderId>,
     /// Candidate information gathered for the current query (`P_q`).
     infos: Vec<CandidateInfo>,
     /// Consumer intentions shown over `P_q`, in candidate order.
@@ -248,32 +245,12 @@ impl MediationDriver {
     }
 }
 
-/// One arrival prepared (drawn, routed, candidates resolved) but not yet
-/// mediated or allocated. The candidate set `P_q` stays where it was
-/// resolved, so the in-process paths read it without a copy.
+/// One arrival prepared (drawn and routed) but not yet mediated or
+/// allocated. Its candidate set `P_q` is the routed shard's provider
+/// list, read in place through [`ShardRouter::providers_of_shard`].
 struct Arrival {
     query: Query,
     shard: usize,
-    /// Whether `P_q` is the matchmaker-narrowed list in
-    /// [`ArrivalScratch::candidates`] rather than the shard's whole
-    /// provider list.
-    narrowed: bool,
-}
-
-impl Arrival {
-    /// The arrival's candidate set `P_q`, read where it was resolved
-    /// (`scratch` is [`ArrivalScratch::candidates`]).
-    fn candidates<'a>(
-        &self,
-        router: &'a ShardRouter,
-        scratch: &'a [ProviderId],
-    ) -> &'a [ProviderId] {
-        if self.narrowed {
-            scratch
-        } else {
-            router.providers_of_shard(self.shard)
-        }
-    }
 }
 
 /// An arrival of a socket wave: the candidate set is owned, because the
@@ -361,10 +338,6 @@ pub struct Simulator {
     scratch: ArrivalScratch,
     /// The mediation backend intentions are gathered through.
     mediation: MediationDriver,
-    /// The capability matchmaker (registry + cached per-class matching
-    /// lists), when capability matchmaking is enabled (`None` reproduces
-    /// the paper's all-providers candidate sets).
-    matchmaker: Option<ClassMatchmaker>,
     /// Scenario run state (`None` for plain runs — the default).
     scenario: Option<ScenarioState>,
     /// The run's observability handle: live when
@@ -492,14 +465,6 @@ impl Simulator {
             }
         };
 
-        // Capability matchmaking (opt-in): derive the provider
-        // capability registry and the per-class matching lists once;
-        // candidate sets then intersect each shard's provider list with
-        // the cached class list — no per-arrival registry scan.
-        let matchmaker = config
-            .capability_matchmaking
-            .then(|| ClassMatchmaker::new(&population));
-
         // Compile the scenario against the generated population: churn
         // membership is drawn from the salted scenario RNG (the engine's
         // own random streams are untouched), schedules are frozen as
@@ -563,7 +528,6 @@ impl Simulator {
             performed_at_last_rebalance: ParticipantTable::new(),
             scratch: ArrivalScratch::default(),
             mediation,
-            matchmaker,
             scenario,
             metrics: EngineMetrics::resolve(&obs),
             obs,
@@ -819,7 +783,7 @@ impl Simulator {
         let down = self.down_hosts();
         let query = &arrival.query;
         let consumer = query.consumer;
-        let candidates = arrival.candidates(&self.router, &self.scratch.candidates);
+        let candidates = self.router.providers_of_shard(arrival.shard);
         let consumer_down = down.is_down(consumer.raw());
         let fabricated = if down.faults.is_empty() {
             0
@@ -1031,10 +995,10 @@ impl Simulator {
     /// The per-arrival work that precedes mediation, shared by every
     /// arrival path: reschedule the arrival process (its rate follows the
     /// workload pattern and the number of remaining consumers), draw the
-    /// consumer and query class, route to a shard and resolve the
-    /// candidate set. Returns `None` when no consumer remains (nothing is
-    /// issued) or no provider-bearing shard does (the query is counted as
-    /// issued and unallocated).
+    /// consumer and query class, and route to a shard, whose provider
+    /// list is the candidate set `P_q`. Returns `None` when no consumer
+    /// remains (nothing is issued) or no provider-bearing shard does (the
+    /// query is counted as issued and unallocated).
     fn prepare_arrival(&mut self) -> Option<Arrival> {
         self.schedule_next_arrival();
 
@@ -1054,18 +1018,13 @@ impl Simulator {
         };
         let mut query = Query::single(QueryId::new(self.next_query_id), consumer, class, self.now);
         query.n = self.config.query_n;
-        if self.matchmaker.is_some() {
-            // Capability matchmaking matches on the description topic;
-            // tag the query with its class topic so providers' declared
-            // class capabilities can cover it.
-            query.description.topic = class_topic(class);
-        }
         self.next_query_id = self.next_query_id.wrapping_add(1);
         self.issued += 1;
         self.metrics.queries_issued.inc();
 
-        // Route the query to its mediator shard; the candidate set is the
-        // providers that shard owns. Routing is deterministic (a pure
+        // Route the query to its mediator shard; the candidate set `P_q`
+        // is the providers that shard owns, every provider a candidate as
+        // in the paper's evaluation. Routing is deterministic (a pure
         // function of the consumer id and the observed per-shard load), so
         // a mono-mediator run consumes exactly the same random stream as
         // the pre-sharding engine. A query is only unallocated when *no*
@@ -1086,30 +1045,7 @@ impl Simulator {
             self.metrics.queries_unallocated.inc();
             return None;
         };
-
-        // The candidate set `P_q`: the shard's provider list, optionally
-        // narrowed by capability matchmaking to the providers whose
-        // declared capabilities cover the query's description. An empty
-        // filtered set falls back to the whole shard — a query must not
-        // be dropped while capable-ish providers remain (documented
-        // fall-back of the opt-in mode).
-        let narrowed = match &self.matchmaker {
-            None => false,
-            Some(matchmaker) => {
-                let matching = matchmaker.matching(query.class());
-                intersect_sorted(
-                    self.router.providers_of_shard(shard),
-                    matching,
-                    &mut self.scratch.candidates,
-                );
-                !self.scratch.candidates.is_empty()
-            }
-        };
-        Some(Arrival {
-            query,
-            shard,
-            narrowed,
-        })
+        Some(Arrival { query, shard })
     }
 
     /// [`Simulator::prepare_arrival`] for a socket wave: the candidate
@@ -1117,9 +1053,7 @@ impl Simulator {
     /// coalesced batch outlives the borrow.
     fn prepare_socket_arrival(&mut self) -> Option<PreparedArrival> {
         let arrival = self.prepare_arrival()?;
-        let candidates = arrival
-            .candidates(&self.router, &self.scratch.candidates)
-            .to_vec();
+        let candidates = self.router.providers_of_shard(arrival.shard).to_vec();
         Some(PreparedArrival {
             query: arrival.query,
             shard: arrival.shard,
@@ -1145,7 +1079,7 @@ impl Simulator {
         let down = self.down_hosts();
         let requests: Vec<(Query, Vec<ProviderId>)> = batch
             .iter()
-            .map(|a| (a.query.clone(), a.candidates.clone()))
+            .map(|a| (a.query, a.candidates.clone()))
             .collect();
         // The union of the batch's candidate sets, ascending: the sets
         // are disjoint (distinct shards), so sorting the concatenation
@@ -1244,8 +1178,8 @@ impl Simulator {
     }
 
     /// Takes a churn group's members down, mirroring the assessment
-    /// departure machinery (capacity/backlog write-off, mediation and
-    /// matchmaking deregistration) with two deliberate differences: the
+    /// departure machinery (capacity/backlog write-off, mediation
+    /// deregistration) with two deliberate differences: the
     /// mediator-side satisfaction tracker is *parked* for a possible
     /// re-join instead of destroyed, and the exit is counted as a churn
     /// departure, not as a behavioral [`DepartureRecord`] — churn is
@@ -1273,9 +1207,6 @@ impl Simulator {
             }
             self.router.churn_depart(id);
             self.mediation.deregister_provider(id);
-            if let Some(matchmaker) = &mut self.matchmaker {
-                matchmaker.deregister(id);
-            }
             self.metrics.churn_departures.inc();
             if self.obs.is_enabled() {
                 self.obs.record(
@@ -1328,9 +1259,6 @@ impl Simulator {
             self.shard_backlog[shard] += agent.backlog().value();
             self.provider_strikes[id] = 0;
             self.mediation.register_provider(id);
-            if let Some(matchmaker) = &mut self.matchmaker {
-                matchmaker.register(&self.population.providers[id]);
-            }
             self.metrics.churn_rejoins.inc();
             if self.obs.is_enabled() {
                 self.obs.record(
@@ -1823,9 +1751,6 @@ impl Simulator {
                             }
                             self.router.remove_provider(id);
                             self.mediation.deregister_provider(id);
-                            if let Some(matchmaker) = &mut self.matchmaker {
-                                matchmaker.deregister(id);
-                            }
                             let profile = self.population.profiles[id];
                             self.provider_departures.push(DepartureRecord {
                                 provider: id,
@@ -2604,50 +2529,5 @@ mod tests {
             assert_eq!(info.provider_intention, 0.0);
             assert_eq!(info.utilization, 0.0);
         }
-    }
-
-    #[test]
-    fn capability_matchmaking_is_off_by_default_and_changes_candidates_when_on() {
-        let config = small_config(300.0, 21).with_workload(WorkloadPattern::Fixed(0.5));
-        let default_run = run_simulation(config, Method::Sqlb).unwrap();
-        let filtered =
-            run_simulation(config.with_capability_matchmaking(true), Method::Sqlb).unwrap();
-        // The filtered run completes every query (the class-capable
-        // subset is never empty at this scale) and is deterministic.
-        assert_eq!(filtered.unallocated_queries, 0);
-        assert_eq!(filtered.issued_queries, default_run.issued_queries);
-        let filtered_again =
-            run_simulation(config.with_capability_matchmaking(true), Method::Sqlb).unwrap();
-        assert_eq!(filtered.digest(), filtered_again.digest());
-        // And it genuinely narrows candidate sets: the allocation
-        // outcomes differ from the all-providers run.
-        assert_ne!(
-            filtered.digest(),
-            default_run.digest(),
-            "capability filtering should exclude class-averse providers"
-        );
-    }
-
-    #[test]
-    fn capability_matchmaking_agrees_across_mediation_backends() {
-        // The filtered candidate set feeds every backend identically —
-        // including over sockets, where the class topic travels in the
-        // query description.
-        let config = small_config(150.0, 13)
-            .with_workload(WorkloadPattern::Fixed(0.6))
-            .with_capability_matchmaking(true);
-        let inline = run_simulation(config, Method::Sqlb).unwrap();
-        let socket = run_simulation(
-            config.with_mediation(crate::MediationMode::Socket),
-            Method::Sqlb,
-        )
-        .unwrap();
-        let reactor = run_simulation(
-            config.with_mediation(crate::MediationMode::Reactor),
-            Method::Sqlb,
-        )
-        .unwrap();
-        assert_eq!(inline.digest(), socket.digest());
-        assert_eq!(inline.digest(), reactor.digest());
     }
 }

@@ -29,8 +29,6 @@
 //! * [`campaign`] — the named scenario-campaign matrix (scenarios ×
 //!   allocation methods) behind the committed `BENCH_campaign.json`
 //!   digest gate;
-//! * [`matchmaking`] — opt-in capability matchmaking for the candidate
-//!   set `P_q` (the default remains the paper's all-providers behaviour);
 //! * [`routing`] — consumer-routing policies (static `consumer % K` or
 //!   least-loaded) selecting the mediator shard of each query;
 //! * [`shard`] — the mediator shard router, its satisfaction-view
@@ -48,7 +46,6 @@ pub mod config;
 pub mod engine;
 pub mod events;
 pub mod experiments;
-pub mod matchmaking;
 pub mod routing;
 pub mod scenario;
 pub mod shard;

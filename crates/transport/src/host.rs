@@ -314,15 +314,10 @@ impl ParticipantHost {
                         self.report.clean_shutdown = true;
                         return Ok(self.report);
                     }
-                    // The legacy single-query request shapes carry no
-                    // addressee and cannot be dispatched on a multiplexed
-                    // connection; hosts ignore them. A stats reply only
-                    // answers a request this host sent (see
-                    // [`ParticipantHost::request_stats`]) — one arriving
-                    // unsolicited mid-serve is dropped the same way.
-                    MediatorMessage::ConsumerIntentionRequest { .. }
-                    | MediatorMessage::ProviderIntentionRequest { .. }
-                    | MediatorMessage::StatsReply { .. } => {}
+                    // A stats reply only answers a request this host
+                    // sent (see [`ParticipantHost::request_stats`]); one
+                    // arriving unsolicited mid-serve is dropped.
+                    MediatorMessage::StatsReply { .. } => {}
                 }
             }
             match self.assembler.fill_from(&mut self.stream) {

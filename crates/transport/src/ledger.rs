@@ -68,6 +68,9 @@ pub struct WaveLedger {
     wave: u64,
     /// Endpoint requests written out.
     delivered: usize,
+    /// Requests not written because the addressee's home connection is
+    /// gone; they degrade to indifference like a missed deadline.
+    unreachable: usize,
     /// Unanswered requests per connection slot *of plan time* (a slot
     /// accepted after this wave was planned has no entry — see
     /// [`WaveLedger::pending_on`]).
@@ -89,8 +92,11 @@ impl WaveLedger {
     /// the [`MediatorMessage::WaveEnd`] marker), and returns the ledger
     /// that will account for the replies. Requests to endpoints with no
     /// live home connection are skipped — their answers degrade to
-    /// indifference, the same contract the in-process backends apply to
-    /// unregistered endpoints.
+    /// indifference. A skipped endpoint whose home connection is gone
+    /// (a dropped host) counts as [`WaveLedger::unreachable`], exactly
+    /// as the in-process backends count a down host's answers; one with
+    /// no home at all (deregistered) counts nothing, as on those
+    /// backends.
     ///
     /// `outbox` is resized to `slots` and cleared, so callers can reuse
     /// one scratch vector across waves; `live(slot)` reports whether a
@@ -114,12 +120,9 @@ impl WaveLedger {
             by_consumer
                 .entry(query.consumer)
                 .or_default()
-                .push((query.clone(), candidates.clone()));
+                .push((*query, candidates.clone()));
             for provider in candidates {
-                by_provider
-                    .entry(*provider)
-                    .or_default()
-                    .push(query.clone());
+                by_provider.entry(*provider).or_default().push(*query);
             }
         }
 
@@ -130,6 +133,7 @@ impl WaveLedger {
         let mut ledger = WaveLedger {
             wave,
             delivered: 0,
+            unreachable: 0,
             pending_per_slot: vec![0; slots],
             consumer_slot: BTreeMap::new(),
             provider_slot: BTreeMap::new(),
@@ -143,6 +147,7 @@ impl WaveLedger {
                 continue;
             };
             if home >= slots || !live(home) {
+                ledger.unreachable += 1;
                 continue;
             }
             encode_mediator_message_into(
@@ -165,6 +170,7 @@ impl WaveLedger {
                 continue;
             };
             if home >= slots || !live(home) {
+                ledger.unreachable += 1;
                 continue;
             }
             encode_mediator_message_into(
@@ -203,6 +209,12 @@ impl WaveLedger {
     /// Endpoint requests written out for this wave.
     pub fn delivered(&self) -> usize {
         self.delivered
+    }
+
+    /// Requests of this wave not written out because the addressee's
+    /// home connection is gone.
+    pub fn unreachable(&self) -> usize {
+        self.unreachable
     }
 
     /// Unanswered requests charged to connection `slot`. Slots accepted
@@ -272,7 +284,7 @@ pub enum Applied {
     /// The host announced it is leaving.
     Goodbye,
     /// A stale-wave straggler, a duplicate of an already-filled slot, or
-    /// a legacy single-query reply: discarded.
+    /// a hello after the handshake: discarded.
     Ignored,
     /// A reply that arrived on a different connection than its request
     /// was charged to — a host answering for an endpoint it does not own,
@@ -396,8 +408,8 @@ pub fn route_reply_frame<'w>(
             r.close()?;
             Ok(Applied::Goodbye)
         }
-        // Legacy single-query replies and hellos: validate the frame via
-        // the owned decoder, then drop the value.
+        // Hellos and stats requests: validate the frame via the owned
+        // decoder, then drop the value. An unknown tag is an error.
         _ => {
             decode_participant_reply(frame)?;
             Ok(Applied::Ignored)
@@ -458,6 +470,32 @@ mod tests {
         assert_eq!(ledger.pending_on(1), 1); // provider 2
         assert_eq!(ledger.pending_on(9), 0, "out-of-range slots read as 0");
         assert!(!outbox[0].is_empty() && !outbox[1].is_empty());
+    }
+
+    #[test]
+    fn requests_over_a_dead_connection_count_as_unreachable() {
+        // Provider 2's home slot 1 is gone: its request is not written
+        // and counts as unreachable. Provider 3 has no home at all (it
+        // deregistered): skipped without being counted.
+        let (consumer_home, provider_home) = homes();
+        let mut outbox = Vec::new();
+        let ledger = WaveLedger::plan(
+            7,
+            &[(
+                query(1, 0),
+                vec![ProviderId::new(1), ProviderId::new(2), ProviderId::new(3)],
+            )],
+            &consumer_home,
+            &provider_home,
+            2,
+            |slot| slot == 0,
+            false,
+            &mut outbox,
+        );
+        assert_eq!(ledger.delivered(), 2);
+        assert_eq!(ledger.unreachable(), 1);
+        assert_eq!(ledger.pending_on(1), 0);
+        assert!(outbox[1].is_empty());
     }
 
     #[test]

@@ -61,7 +61,8 @@ struct ServerMetrics {
     replies_credited: Counter,
     /// Stale, duplicate or foreign replies parsed and discarded.
     replies_discarded: Counter,
-    /// Requests that degraded to indifference at a wave deadline.
+    /// Requests that degraded to indifference: unanswered at a wave
+    /// deadline, or addressed over a connection already gone.
     replies_timed_out: Counter,
     /// Frames reassembled from host connections.
     frames_reassembled: Counter,
@@ -184,8 +185,9 @@ pub struct SocketRoundStats {
     pub delivered: usize,
     /// Replies that arrived before the deadline.
     pub answered: usize,
-    /// Requests still outstanding when the deadline passed; their values
-    /// were read as indifference.
+    /// Requests left unanswered — still outstanding when the deadline
+    /// passed, or not written because the addressee's host connection
+    /// was already gone; their values were read as indifference.
     pub timed_out: usize,
     /// Wall-clock time the wave took (write-out to last reply or
     /// deadline).
@@ -527,9 +529,8 @@ impl WaveServer {
         // involved connection's burst bracketed with the wave-end marker,
         // and the reply ledger records which slot every request was
         // charged to. Requests to endpoints with no live home connection
-        // are skipped — their answers degrade to indifference, the same
-        // contract the in-process backends apply to unregistered
-        // endpoints.
+        // are skipped — their answers degrade to indifference, counted
+        // at collection when the endpoint's connection is gone.
         let connections = &self.connections;
         let ledger = WaveLedger::plan(
             wave,
@@ -776,7 +777,7 @@ impl WaveServer {
             wave,
             delivered,
             answered,
-            timed_out: delivered - answered,
+            timed_out: delivered - answered + finished.ledger.unreachable(),
             elapsed: started.elapsed(),
         };
         self.metrics

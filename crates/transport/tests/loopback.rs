@@ -342,7 +342,7 @@ fn notices_reach_the_right_endpoints_across_hosts() {
     server.accept_hosts(1, Duration::from_secs(5)).unwrap();
     let q = query(7, 0);
     let candidates = vec![ProviderId::new(0), ProviderId::new(1)];
-    let _ = server.gather(&[(q.clone(), candidates.clone())]);
+    let _ = server.gather(&[(q, candidates.clone())]);
     let allocation = sqlb_core::allocation::Allocation {
         query: q.id,
         selected: vec![ProviderId::new(0)],

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::ids::{ConsumerId, ProviderId, QueryId};
+use crate::ids::QueryId;
 
 /// Convenient result alias using [`SqlbError`].
 pub type SqlbResult<T> = Result<T, SqlbError>;
@@ -28,38 +28,11 @@ pub enum SqlbError {
         /// Why the query was rejected.
         reason: &'static str,
     },
-    /// A query was not feasible: the matchmaker found no provider able to
-    /// treat it. The paper only considers feasible queries; the framework
-    /// surfaces this condition explicitly instead.
-    NoProviderAvailable {
-        /// The query that could not be allocated.
-        query: QueryId,
-    },
-    /// A consumer identifier is unknown to the component that received it.
-    UnknownConsumer(ConsumerId),
-    /// A provider identifier is unknown to the component that received it.
-    UnknownProvider(ProviderId),
-    /// A participant attempted an operation after having left the system.
-    ParticipantDeparted {
-        /// Which participant departed (display form, e.g. `"p12"`).
-        participant: String,
-    },
     /// A configuration value is inconsistent (e.g. class fractions that do
     /// not sum to one).
     InvalidConfig {
         /// Why the configuration was rejected.
         reason: String,
-    },
-    /// The mediation runtime failed to collect intentions before its
-    /// timeout and no fallback was permitted.
-    MediationTimeout {
-        /// The query whose mediation timed out.
-        query: QueryId,
-    },
-    /// A communication channel between agents was closed unexpectedly.
-    ChannelClosed {
-        /// Description of the endpoint that disappeared.
-        endpoint: &'static str,
     },
 }
 
@@ -75,21 +48,7 @@ impl fmt::Display for SqlbError {
             SqlbError::InvalidQuery { query, reason } => {
                 write!(f, "invalid query {query}: {reason}")
             }
-            SqlbError::NoProviderAvailable { query } => {
-                write!(f, "no provider available for query {query}")
-            }
-            SqlbError::UnknownConsumer(c) => write!(f, "unknown consumer {c}"),
-            SqlbError::UnknownProvider(p) => write!(f, "unknown provider {p}"),
-            SqlbError::ParticipantDeparted { participant } => {
-                write!(f, "participant {participant} has departed from the system")
-            }
             SqlbError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
-            SqlbError::MediationTimeout { query } => {
-                write!(f, "mediation timed out while allocating query {query}")
-            }
-            SqlbError::ChannelClosed { endpoint } => {
-                write!(f, "communication channel closed: {endpoint}")
-            }
         }
     }
 }
@@ -111,13 +70,12 @@ mod tests {
         assert!(e.to_string().contains("intention"));
         assert!(e.to_string().contains("2"));
 
-        let e = SqlbError::NoProviderAvailable {
+        let e = SqlbError::InvalidQuery {
             query: QueryId::new(7),
+            reason: "q.n must be at least 1",
         };
         assert!(e.to_string().contains("q7"));
-
-        let e = SqlbError::UnknownProvider(ProviderId::new(3));
-        assert!(e.to_string().contains("p3"));
+        assert!(e.to_string().contains("q.n"));
 
         let e = SqlbError::InvalidConfig {
             reason: "fractions must sum to 1".into(),

@@ -1,9 +1,9 @@
 //! The query model of Section 2.
 //!
 //! A query is a triple `q = <c, d, n>` where `q.c` identifies the consumer
-//! that issued it, `q.d` describes the task to be done (used only by the
-//! matchmaking procedure) and `q.n ∈ N*` is the number of providers to which
-//! the consumer wishes to allocate its query.
+//! that issued it, `q.d` describes the task to be done and `q.n ∈ N*` is
+//! the number of providers to which the consumer wishes to allocate its
+//! query.
 
 use std::fmt;
 
@@ -70,18 +70,12 @@ impl fmt::Display for QueryClass {
 
 /// The description `q.d` of the task to be done.
 ///
-/// The description is intended to be consumed by the matchmaking procedure
-/// that computes the set `P_q` of providers able to treat the query
-/// (Section 2). Our matchmaker (crate `sqlb-matchmaking`) matches on the
-/// `topic` and on required `attributes`; the workload generator additionally
-/// tags every description with its [`QueryClass`] and treatment cost so the
-/// simulator can model processing times.
-#[derive(Debug, Clone, PartialEq)]
+/// The paper assumes a sound and complete matchmaker and, in its
+/// evaluation, makes every provider a candidate for every query, so the
+/// description carries only what the simulator reads: the query's
+/// [`QueryClass`] and its treatment cost, which model processing times.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryDescription {
-    /// Topic of the task (e.g. `"shipping/international"`).
-    pub topic: String,
-    /// Attributes the provider must declare to be able to treat the task.
-    pub attributes: Vec<String>,
     /// Workload class of the query.
     pub class: QueryClass,
     /// Treatment cost, in work units, on a reference (high-capacity)
@@ -91,30 +85,12 @@ pub struct QueryDescription {
 
 impl QueryDescription {
     /// Creates a description for one of the paper's workload classes with
-    /// its default cost and an empty attribute list.
+    /// its default cost.
     pub fn for_class(class: QueryClass) -> Self {
         QueryDescription {
-            topic: String::new(),
-            attributes: Vec::new(),
             class,
             cost: class.default_cost(),
         }
-    }
-
-    /// Creates a description with an explicit topic.
-    pub fn with_topic(topic: impl Into<String>, class: QueryClass) -> Self {
-        QueryDescription {
-            topic: topic.into(),
-            attributes: Vec::new(),
-            class,
-            cost: class.default_cost(),
-        }
-    }
-
-    /// Adds a required attribute and returns the updated description.
-    pub fn attribute(mut self, attribute: impl Into<String>) -> Self {
-        self.attributes.push(attribute.into());
-        self
     }
 
     /// Overrides the treatment cost and returns the updated description.
@@ -132,7 +108,7 @@ impl Default for QueryDescription {
 
 /// A query `q = <c, d, n>` (Section 2), extended with an identifier and the
 /// virtual time at which it was issued (needed to measure response times).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Query {
     /// Unique identifier of this query.
     pub id: QueryId,
@@ -256,12 +232,8 @@ mod tests {
 
     #[test]
     fn description_builder() {
-        let d = QueryDescription::with_topic("shipping/international", QueryClass::Light)
-            .attribute("origin:FR")
-            .attribute("destination:US")
-            .with_cost(WorkUnits::new(200.0));
-        assert_eq!(d.topic, "shipping/international");
-        assert_eq!(d.attributes.len(), 2);
+        let d = QueryDescription::for_class(QueryClass::Light).with_cost(WorkUnits::new(200.0));
+        assert_eq!(d.class, QueryClass::Light);
         assert_eq!(d.cost.value(), 200.0);
     }
 

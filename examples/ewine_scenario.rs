@@ -47,9 +47,7 @@ fn main() {
     let mut query = Query::new(
         QueryId::new(1),
         ConsumerId::new(0),
-        QueryDescription::with_topic("shipping/international", QueryClass::Light)
-            .attribute("origin:FR")
-            .attribute("destination:US"),
+        QueryDescription::for_class(QueryClass::Light),
         2,
         SimTime::ZERO,
     )

@@ -18,7 +18,6 @@
 //! | [`metrics`] | mean / Jain fairness / min–max balance (Section 4), time series |
 //! | [`obs`] | zero-overhead-when-off observability: counters, histograms, flight recorder |
 //! | [`satisfaction`] | adequation, satisfaction, allocation satisfaction (Section 3) |
-//! | [`matchmaking`] | capability registry and matchmakers producing `P_q` |
 //! | [`reputation`] | provider reputation used by consumer intentions |
 //! | [`core`] | intention functions, scoring, Algorithm 1, the SQLB allocator |
 //! | [`baselines`] | Capacity based, Mariposa-like, Random, Round-robin |
@@ -71,7 +70,6 @@
 pub use sqlb_agents as agents;
 pub use sqlb_baselines as baselines;
 pub use sqlb_core as core;
-pub use sqlb_matchmaking as matchmaking;
 pub use sqlb_mediation as mediation;
 pub use sqlb_metrics as metrics;
 pub use sqlb_obs as obs;
@@ -97,7 +95,6 @@ pub mod prelude {
         consumer_intention, provider_intention, IntentionParams, MediatorState, OmegaPolicy,
         SqlbAllocator, SqlbConfig,
     };
-    pub use sqlb_matchmaking::{Capability, CapabilityRegistry};
     pub use sqlb_metrics::{fairness, mean, min_max_ratio, Summary, TimeSeries};
     pub use sqlb_reputation::ReputationStore;
     pub use sqlb_satisfaction::{allocation_satisfaction, ConsumerTracker, ProviderTracker};

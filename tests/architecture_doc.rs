@@ -114,7 +114,6 @@ fn architecture_doc_pointers_resolve() {
         "crates/metrics",
         "crates/obs",
         "crates/satisfaction",
-        "crates/matchmaking",
         "crates/reputation",
         "crates/core",
         "crates/baselines",

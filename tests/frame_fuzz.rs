@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use sqlb_mediation::{
     decode_mediator_message, decode_participant_reply, encode_mediator_message,
-    encode_participant_reply, FrameAssembler, MediatorMessage, ParticipantReply,
+    encode_participant_reply, FrameAssembler, FrameError, MediatorMessage, ParticipantReply,
 };
 use sqlb_transport::{route_reply_frame, WaveLedger};
 use sqlb_types::{ConsumerId, ProviderId, Query, QueryClass, QueryId, SimTime};
@@ -238,7 +238,9 @@ proptest! {
     /// Hostile frames fed straight into the mediator's reply-routing
     /// seam: any payload wrapped in a coherent frame envelope must be
     /// counted, ignored or rejected — never panic, and never corrupt
-    /// the ledger's accounting identity.
+    /// the ledger's accounting identity. A body behind tag 1 or 2
+    /// (unassigned in both directions) is always an unknown tag, so the
+    /// server drops the connection.
     #[test]
     fn reply_routing_survives_arbitrary_frame_payloads(
         payload in proptest::collection::vec(0u8..=255, 0..48),
@@ -250,6 +252,24 @@ proptest! {
         let mut ledger = planned_ledger();
         let _ = route_reply_frame(&frame, [&mut ledger], slot); // Ok or Err, never panic
         assert_accounting(&ledger)?;
+
+        for tag in [1u8, 2] {
+            let mut unassigned = (payload.len() as u32 + 1).to_le_bytes().to_vec();
+            unassigned.push(tag);
+            unassigned.extend_from_slice(&payload);
+            prop_assert_eq!(
+                decode_participant_reply(&unassigned).unwrap_err(),
+                FrameError::UnknownTag(tag)
+            );
+            prop_assert_eq!(
+                decode_mediator_message(&unassigned).unwrap_err(),
+                FrameError::UnknownTag(tag)
+            );
+            let mut ledger = planned_ledger();
+            prop_assert!(route_reply_frame(&unassigned, [&mut ledger], slot).is_err());
+            prop_assert_eq!(ledger.stored_replies(), 0);
+            assert_accounting(&ledger)?;
+        }
     }
 
     /// Bit-flipped *real* reply frames through the routing seam: the

@@ -127,7 +127,9 @@ fn socket_wire_counters_are_pinned() {
     assert_eq!(counter("requests_delivered"), Some(3_281));
     assert_eq!(counter("frames_reassembled"), Some(3_281));
     assert_eq!(counter("bytes_in"), Some(172_349));
-    assert_eq!(counter("bytes_out"), Some(211_528));
+    // 193 single-query waves × 17 requests (1 consumer + 16 providers),
+    // each request carrying one 29-byte encoded query.
+    assert_eq!(counter("bytes_out"), Some(185_280));
     assert_eq!(counter("replies_timed_out"), Some(0));
 }
 

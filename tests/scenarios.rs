@@ -15,7 +15,8 @@
 //!    a stalled or a dropped host produces bit-identical reports on the
 //!    inline, threaded and reactor backends (the fault model is
 //!    virtual-clock exact), and the socket backend — where the stall is a
-//!    real silent TCP peer — degrades the missing replies to indifference
+//!    real silent TCP peer and the drop a closed connection — degrades
+//!    the missing replies to indifference, counts them as inline does,
 //!    and still terminates.
 //! 4. **A flash crowd does not starve rebalancing.** Load-reactive
 //!    routing under a burst still runs its due `Rebalance` rounds, on
@@ -193,7 +194,9 @@ fn a_stalled_then_dropped_socket_run_degrades_but_terminates() {
     // silent TCP peer whose replies miss the wave deadline, and the
     // dropped host shuts its connection down mid-wave and stays gone.
     // The run must degrade those endpoints to indifference (counted by
-    // the transport, not fabricated) and still terminate.
+    // the transport, not fabricated), count them exactly as the inline
+    // run counts the same faults — every wave after the drop, not just
+    // the one that severed the link — and still terminate.
     let mut scenario = Scenario::steady("hostile-socket");
     scenario.faults.push(TransportFault::StallHost {
         host: 1,
@@ -215,6 +218,15 @@ fn a_stalled_then_dropped_socket_run_degrades_but_terminates() {
         report.indifferent_replies > 0,
         "wire-level stalls and drops must surface as timed-out requests"
     );
+    let inline = run_scenario(
+        config.with_mediation(MediationMode::Inline),
+        Method::Sqlb,
+        &scenario,
+    )
+    .expect("inline faulted run");
+    assert_eq!(inline.digest(), report.digest());
+    assert_eq!(inline.indifferent_replies, report.indifferent_replies);
+    assert_eq!(inline.degraded_waves, report.degraded_waves);
 }
 
 #[test]
