@@ -162,7 +162,7 @@ fn bench_isolated_allocate(c: &mut Criterion) {
                             .with_utilization(utilization),
                     );
                 }
-                let allocation = mediator.allocate(&query, &infos);
+                let allocation = mediator.allocate(&query, &infos, None);
                 black_box(allocation.selected.len())
             })
         });

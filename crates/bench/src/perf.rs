@@ -136,11 +136,11 @@ pub fn scale_config(participants: u64, seed: u64) -> SimulationConfig {
     let mut config = SimulationConfig::scaled(consumers, providers, SCALE_DURATION_SECS, seed)
         .with_workload(WorkloadPattern::Fixed(SCALE_WORKLOAD))
         .with_mediator_shards(shards)
-        // No sync round inside the measured window: the all-to-all digest
-        // exchange is O(shards × consumers) by design, so at hundreds of
-        // shards it would swamp the per-allocation cost this row exists
-        // to measure (the transport and reactor benchmark rows cover
-        // synchronization scaling separately).
+        // No sync round inside the measured window: under static routing
+        // a round never changes a decision, and this row measures the
+        // per-allocation cost. A round costs O(consumers + readings) on
+        // the shard router's sync board; perfbench's `reactor-k8`
+        // workload measures it (`sim.sync.ms_per_round`).
         .with_sync_interval(SCALE_DURATION_SECS * 8.0);
     config.population.procedural_preferences = true;
     // Keep the paper's *absolute* window sizes: the population-scaled

@@ -40,7 +40,7 @@ pub use allocation::{Allocation, AllocationMethod, CandidateInfo, MediatorView, 
 pub use intention::{
     consumer_intention, powf_fast, provider_intention, IntentionParams, DEFAULT_EPSILON,
 };
-pub use mediator::{ConsumerDigestEntry, Mediator, SatisfactionDigest};
+pub use mediator::Mediator;
 pub use mediator_state::MediatorState;
 pub use scoring::{
     omega, provider_score, rank_candidates, rank_candidates_in_place, select_top_k, RankedProvider,

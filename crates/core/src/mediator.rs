@@ -5,59 +5,21 @@
 //! mediation point owns — an identity, an allocation method instance, and
 //! the intention-based satisfaction bookkeeping ([`MediatorState`]) that
 //! Equation 6 needs — behind one interface, so upper layers (the
-//! simulator's shard router, the concurrent runtime) can run one or many
-//! without caring which.
+//! simulator's shard router) can run one or many without caring which.
 //!
 //! When several mediators partition the providers, each only observes the
 //! allocations it performed itself, so its view of a *consumer*'s
-//! satisfaction is partial (consumers reach every shard; providers belong
-//! to exactly one). [`Mediator::export_digest`] and
-//! [`Mediator::absorb_digests`] implement the periodic satisfaction-view
-//! synchronization that repairs this: each mediator publishes its local
-//! consumer readings with their observation weights, and every peer blends
-//! them into its own view.
+//! satisfaction is partial (consumers may reach several shards; providers
+//! belong to exactly one). [`Mediator::allocate`] therefore takes the
+//! other mediators' reading of the query's consumer, which the caller
+//! collects at periodic synchronization rounds (the simulator's shard
+//! router keeps them on one sync board), and blends it with the local one
+//! ([`MediatorState::blended_consumer_satisfaction`]).
 
-use sqlb_obs::{Counter, Obs};
-use sqlb_types::{ConsumerId, MediatorId, Query};
+use sqlb_types::{ConsumerId, MediatorId, ProviderId, Query};
 
-use crate::allocation::{Allocation, AllocationMethod, CandidateInfo};
+use crate::allocation::{Allocation, AllocationMethod, CandidateInfo, MediatorView};
 use crate::mediator_state::{MediatorState, MediatorStateConfig};
-
-/// Pre-resolved observability instruments of a [`Mediator`]. No-op
-/// handles (one predictable branch per update) until
-/// [`Mediator::set_obs`] installs an enabled [`sqlb_obs::Obs`], so the
-/// allocation hot path is unchanged when observability is off.
-#[derive(Debug, Default)]
-struct MediatorMetrics {
-    /// Allocation decisions taken (Algorithm 1 runs).
-    allocations: Counter,
-    /// Satisfaction digests published to peers.
-    digests_exported: Counter,
-    /// Peer digests blended into the local view.
-    digests_absorbed: Counter,
-}
-
-/// One consumer's satisfaction reading inside a [`SatisfactionDigest`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConsumerDigestEntry {
-    /// The consumer the reading is about.
-    pub consumer: ConsumerId,
-    /// The mediator's local, intention-based satisfaction reading.
-    pub satisfaction: f64,
-    /// Number of local observations backing the reading (the tracker's
-    /// window fill). Peers use it to weight the blend.
-    pub weight: u64,
-}
-
-/// A mediator's shareable view of consumer satisfaction, exchanged during
-/// periodic synchronization.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SatisfactionDigest {
-    /// The mediator that produced the digest.
-    pub mediator: MediatorId,
-    /// One entry per consumer the mediator has observed.
-    pub consumers: Vec<ConsumerDigestEntry>,
-}
 
 /// One mediation point: an allocation method plus the mediator-side
 /// satisfaction state it scores with.
@@ -65,7 +27,30 @@ pub struct Mediator {
     id: MediatorId,
     method: Box<dyn AllocationMethod>,
     state: MediatorState,
-    metrics: MediatorMetrics,
+}
+
+/// What an allocation scores with: the mediator's state, with the peers'
+/// reading of the query's consumer blended into that consumer's
+/// satisfaction.
+struct BlendedView<'a> {
+    state: &'a MediatorState,
+    consumer: ConsumerId,
+    peers: Option<(f64, u64)>,
+}
+
+impl MediatorView for BlendedView<'_> {
+    fn consumer_satisfaction(&self, consumer: ConsumerId) -> f64 {
+        let peers = self.peers.filter(|_| consumer == self.consumer);
+        self.state.blended_consumer_satisfaction(consumer, peers)
+    }
+
+    fn provider_satisfaction(&self, provider: ProviderId) -> f64 {
+        self.state.provider_satisfaction(provider)
+    }
+
+    fn provider_satisfactions_into(&self, candidates: &[CandidateInfo], out: &mut Vec<f64>) {
+        self.state.provider_satisfactions_into(candidates, out);
+    }
 }
 
 impl Mediator {
@@ -95,22 +80,7 @@ impl Mediator {
             id,
             method,
             state: MediatorState::with_slot_stride(config, offset, stride),
-            metrics: MediatorMetrics::default(),
         }
-    }
-
-    /// Installs an observability sink: allocation and synchronization
-    /// counters become live-readable through the sink's registry,
-    /// prefixed with this mediator's raw id so sharded deployments can
-    /// tell their mediators apart. With a disabled sink every handle
-    /// stays a no-op.
-    pub fn set_obs(&mut self, obs: &Obs) {
-        let id = self.id.raw();
-        self.metrics = MediatorMetrics {
-            allocations: obs.counter(&format!("mediator_{id}_allocations")),
-            digests_exported: obs.counter(&format!("mediator_{id}_digests_exported")),
-            digests_absorbed: obs.counter(&format!("mediator_{id}_digests_absorbed")),
-        };
     }
 
     /// The mediator's identity.
@@ -148,57 +118,24 @@ impl Mediator {
 
     /// Runs the allocation decision of Algorithm 1 (lines 6–9) for one
     /// query over the gathered candidate information, and records the
-    /// outcome in the mediator's satisfaction state.
-    pub fn allocate(&mut self, query: &Query, candidates: &[CandidateInfo]) -> Allocation {
-        let allocation = self.method.allocate(query, candidates, &self.state);
+    /// outcome in the mediator's satisfaction state. `peers` is the other
+    /// mediators' `(mean satisfaction, weight)` reading of
+    /// `query.consumer`, if any; the method sees it blended with the
+    /// local reading.
+    pub fn allocate(
+        &mut self,
+        query: &Query,
+        candidates: &[CandidateInfo],
+        peers: Option<(f64, u64)>,
+    ) -> Allocation {
+        let view = BlendedView {
+            state: &self.state,
+            consumer: query.consumer,
+            peers,
+        };
+        let allocation = self.method.allocate(query, candidates, &view);
         self.state.record_allocation(query, candidates, &allocation);
-        self.metrics.allocations.inc();
         allocation
-    }
-
-    /// Publishes this mediator's local consumer-satisfaction readings.
-    pub fn export_digest(&self) -> SatisfactionDigest {
-        let consumers = self
-            .state
-            .consumers()
-            .filter_map(|consumer| {
-                let weight = self.state.consumer_observation_weight(consumer);
-                if weight == 0 {
-                    return None;
-                }
-                let tracker = self.state.consumer_tracker(consumer)?;
-                Some(ConsumerDigestEntry {
-                    consumer,
-                    satisfaction: tracker.satisfaction(),
-                    weight,
-                })
-            })
-            .collect();
-        self.metrics.digests_exported.inc();
-        SatisfactionDigest {
-            mediator: self.id,
-            consumers,
-        }
-    }
-
-    /// Replaces this mediator's remote consumer views with the aggregate
-    /// of the given peer digests. The mediator's own digest is skipped, so
-    /// an all-to-all exchange can pass the same slice to everyone.
-    pub fn absorb_digests(&mut self, digests: &[SatisfactionDigest]) {
-        self.state.clear_remote_consumer_views();
-        for digest in digests {
-            if digest.mediator == self.id {
-                continue;
-            }
-            self.metrics.digests_absorbed.inc();
-            for entry in &digest.consumers {
-                self.state.add_remote_consumer_view(
-                    entry.consumer,
-                    entry.satisfaction,
-                    entry.weight,
-                );
-            }
-        }
     }
 }
 
@@ -215,7 +152,6 @@ impl std::fmt::Debug for Mediator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocation::MediatorView;
     use crate::sqlb::SqlbAllocator;
     use sqlb_types::{ProviderId, QueryClass, QueryId, SimTime};
 
@@ -251,7 +187,7 @@ mod tests {
     fn allocate_records_into_state() {
         let mut m = mediator(0);
         let q = query(1, 0);
-        let allocation = m.allocate(&q, &candidates(&[(0, 0.9, 0.9), (1, -0.9, -0.9)]));
+        let allocation = m.allocate(&q, &candidates(&[(0, 0.9, 0.9), (1, -0.9, -0.9)]), None);
         assert_eq!(allocation.selected, vec![ProviderId::new(0)]);
         assert_eq!(m.state().allocations(), 1);
         assert_eq!(m.method_name(), "SQLB");
@@ -264,7 +200,11 @@ mod tests {
         // candidates fall in the negative-intention branch, but p1's
         // magnitude is smaller, so it still ranks first.
         let mut m = mediator(0);
-        let allocation = m.allocate(&query(2, 0), &candidates(&[(0, 0.9, -0.9), (1, 0.9, 0.0)]));
+        let allocation = m.allocate(
+            &query(2, 0),
+            &candidates(&[(0, 0.9, -0.9), (1, 0.9, 0.0)]),
+            None,
+        );
         assert_eq!(allocation.selected, vec![ProviderId::new(1)]);
     }
 
@@ -276,11 +216,11 @@ mod tests {
         // provider, so queries alternate instead of starving p1.
         let mut m = mediator(0);
         let infos = candidates(&[(0, 0.5, 0.7), (1, 0.5, 0.7)]);
-        let first = m.allocate(&query(0, 0), &infos);
+        let first = m.allocate(&query(0, 0), &infos, None);
         assert_eq!(first.selected, vec![ProviderId::new(0)]);
         let mut wins = [0u32, 0u32];
         for i in 1..200 {
-            let allocation = m.allocate(&query(i, 0), &infos);
+            let allocation = m.allocate(&query(i, 0), &infos, None);
             wins[allocation.selected[0].index()] += 1;
         }
         assert_eq!(m.state().allocations(), 200);
@@ -291,99 +231,12 @@ mod tests {
     }
 
     #[test]
-    fn digest_round_trip_blends_consumer_views() {
-        let mut a = mediator(0);
-        let mut b = mediator(1);
-
-        // Mediator A sees consumer 0 get exactly what it wanted; mediator B
-        // never sees consumer 0 at all.
-        for i in 0..10 {
-            a.allocate(&query(i, 0), &candidates(&[(0, 1.0, 1.0)]));
-        }
-        let before = b.state().consumer_satisfaction(ConsumerId::new(0));
-        assert_eq!(before, 0.5, "B starts from the initial value");
-
-        let digests = vec![a.export_digest(), b.export_digest()];
-        a.absorb_digests(&digests);
-        b.absorb_digests(&digests);
-
-        let after = b.state().consumer_satisfaction(ConsumerId::new(0));
-        assert!(
-            after > 0.9,
-            "B should adopt A's highly satisfied view, got {after}"
-        );
-        // A ignores its own digest, so its local view is unchanged.
-        let a_view = a.state().consumer_satisfaction(ConsumerId::new(0));
-        assert!(a_view > 0.9);
-    }
-
-    #[test]
-    fn absorb_is_idempotent_per_round() {
-        let mut a = mediator(0);
-        let mut b = mediator(1);
-        for i in 0..5 {
-            a.allocate(&query(i, 3), &candidates(&[(0, 0.8, 0.5)]));
-        }
-        let digests = vec![a.export_digest()];
-        b.absorb_digests(&digests);
-        let first = b.state().consumer_satisfaction(ConsumerId::new(3));
-        // A second synchronization round with the same digest must not
-        // double-count the observations.
-        b.absorb_digests(&digests);
-        let second = b.state().consumer_satisfaction(ConsumerId::new(3));
-        assert_eq!(first, second);
-        assert_eq!(
-            b.state()
-                .remote_consumer_view(ConsumerId::new(3))
-                .unwrap()
-                .1,
-            5
-        );
-    }
-
-    #[test]
-    fn empty_trackers_are_not_exported() {
-        let mut m = mediator(0);
-        m.state_mut().register_consumer(ConsumerId::new(9));
-        assert!(m.export_digest().consumers.is_empty());
-    }
-
-    #[test]
-    fn stale_digests_cannot_resurrect_departed_consumers() {
-        let mut a = mediator(0);
-        let mut b = mediator(1);
-        for i in 0..10 {
-            a.allocate(&query(i, 0), &candidates(&[(0, 1.0, 1.0)]));
-        }
-        // A exports a digest mentioning consumer 0; the consumer then
-        // departs the whole system (every shard removes it) before the
-        // digest is absorbed — exactly the race a slow synchronization
-        // round can produce.
-        let stale = vec![a.export_digest()];
-        let consumer = ConsumerId::new(0);
-        a.state_mut().remove_consumer(consumer);
-        b.state_mut().remove_consumer(consumer);
-        b.absorb_digests(&stale);
-        assert_eq!(
-            b.state().remote_consumer_view(consumer),
-            None,
-            "a stale digest must not resurrect a departed consumer"
-        );
-        assert_eq!(b.state().consumer_satisfaction(consumer), 0.5);
-        // A consumer that genuinely comes back (re-registers locally) is
-        // trackable again, including through digests.
-        b.state_mut().register_consumer(consumer);
-        b.absorb_digests(&stale);
-        assert!(b.state().remote_consumer_view(consumer).is_some());
-    }
-
-    #[test]
     fn provider_history_survives_export_absorb_round_trip() {
         let mut donor = mediator(0);
         let mut receiver = mediator(1);
         let provider = ProviderId::new(0);
         for i in 0..25 {
-            donor.allocate(&query(i, 2), &candidates(&[(0, 0.6, 0.8)]));
+            donor.allocate(&query(i, 2), &candidates(&[(0, 0.6, 0.8)]), None);
         }
         let before = donor.state().provider_satisfaction(provider);
         let proposed = donor

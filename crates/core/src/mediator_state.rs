@@ -50,16 +50,6 @@ impl Default for MediatorStateConfig {
     }
 }
 
-/// A consumer's satisfaction as reported by *other* mediators, absorbed
-/// during periodic view synchronization (see `crate::mediator`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RemoteConsumerView {
-    /// Weighted sum of the remote satisfaction readings.
-    weighted_satisfaction: f64,
-    /// Total weight (number of remote observations backing the readings).
-    weight: u64,
-}
-
 /// The mediator's view of every participant's intention-based
 /// characteristics.
 #[derive(Debug, Clone)]
@@ -67,18 +57,6 @@ pub struct MediatorState {
     config: MediatorStateConfig,
     consumers: StridedTable<ConsumerId, ConsumerTracker>,
     providers: StridedTable<ProviderId, ProviderTracker>,
-    /// Consumer satisfaction absorbed from peer mediators. Empty in a
-    /// mono-mediator system, so the blended reading reduces to the local
-    /// tracker exactly.
-    remote_consumers: StridedTable<ConsumerId, RemoteConsumerView>,
-    /// Consumers this mediator has removed (departed from the system).
-    /// Peer digests may still carry readings for them — a digest exported
-    /// just before the departure propagated — and absorbing such a reading
-    /// would resurrect the consumer's view after every shard already
-    /// forgot it. [`MediatorState::add_remote_consumer_view`] refuses
-    /// tombstoned consumers; a consumer that genuinely re-registers
-    /// locally clears its tombstone.
-    departed_consumers: StridedTable<ConsumerId, ()>,
     allocations: u64,
     /// Dense satisfaction column (struct-of-arrays). Invariant:
     /// `provider_satisfactions[p]` holds the exact bits of
@@ -110,8 +88,8 @@ impl MediatorState {
     /// Passing `(i, K)` here keeps every per-shard table `O(P / K)`
     /// instead of `O(P)` — the difference between linear and quadratic
     /// total state as the shard count grows with the population.
-    /// Participants outside the class (migrated-in providers, absorbed
-    /// peer views) spill to a small sorted overflow, so behavior is
+    /// Participants outside the class (migrated-in providers, consumers
+    /// routed here by a load-aware policy) spill to a small sorted overflow, so behavior is
     /// identical at any stride; `(0, 1)` is the dense mono-mediator
     /// layout.
     pub fn with_slot_stride(config: MediatorStateConfig, offset: usize, stride: usize) -> Self {
@@ -119,8 +97,6 @@ impl MediatorState {
             config,
             consumers: StridedTable::with_stride(offset, stride),
             providers: StridedTable::with_stride(offset, stride),
-            remote_consumers: StridedTable::with_stride(offset, stride),
-            departed_consumers: StridedTable::with_stride(offset, stride),
             allocations: 0,
             provider_satisfactions: StridedColumn::with_stride(
                 config.initial_satisfaction,
@@ -140,7 +116,6 @@ impl MediatorState {
     /// lazily on their first allocation).
     pub fn register_consumer(&mut self, consumer: ConsumerId) {
         let config = self.config;
-        self.departed_consumers.remove(consumer);
         self.consumers.or_insert_with(consumer, || {
             ConsumerTracker::new(config.consumer_window, config.initial_satisfaction)
         });
@@ -153,13 +128,9 @@ impl MediatorState {
         self.provider_satisfactions.set(provider, satisfaction);
     }
 
-    /// Forgets a consumer (e.g. after it departs from the system). The
-    /// consumer is tombstoned: stale peer digests can no longer resurrect
-    /// its view through [`MediatorState::add_remote_consumer_view`].
+    /// Forgets a consumer (e.g. after it departs from the system).
     pub fn remove_consumer(&mut self, consumer: ConsumerId) {
         self.consumers.remove(consumer);
-        self.remote_consumers.remove(consumer);
-        self.departed_consumers.insert(consumer, ());
     }
 
     /// Forgets a provider.
@@ -283,69 +254,49 @@ impl MediatorState {
         self.providers.get(provider)
     }
 
-    /// Identifiers of all registered consumers.
-    pub fn consumers(&self) -> impl Iterator<Item = ConsumerId> + '_ {
-        self.consumers.keys()
-    }
-
     /// Identifiers of all registered providers.
     pub fn providers(&self) -> impl Iterator<Item = ProviderId> + '_ {
         self.providers.keys()
     }
 
-    /// The number of locally observed allocations backing a consumer's
-    /// satisfaction reading (the tracker's window fill). Used as the local
-    /// weight when blending with remote views.
-    pub fn consumer_observation_weight(&self, consumer: ConsumerId) -> u64 {
-        self.consumers
-            .get(consumer)
-            .map(|t| t.window_len() as u64)
-            .unwrap_or(0)
+    /// This mediator's own consumer readings, as a synchronization round
+    /// publishes them to its peers: `(consumer, satisfaction, weight)` for
+    /// every consumer with at least one local observation, where the
+    /// weight is the number of observations backing the reading.
+    pub fn consumer_readings(&self) -> impl Iterator<Item = (ConsumerId, f64, u64)> + '_ {
+        self.consumers.iter().filter_map(|(consumer, tracker)| {
+            let weight = tracker.window_len() as u64;
+            let satisfaction = tracker.satisfaction();
+            (weight > 0 && satisfaction.is_finite()).then_some((consumer, satisfaction, weight))
+        })
     }
 
-    /// Drops every absorbed remote consumer view (called at the start of a
-    /// synchronization round).
-    pub fn clear_remote_consumer_views(&mut self) {
-        self.remote_consumers.clear();
-    }
-
-    /// Accumulates a peer mediator's satisfaction reading for `consumer`,
-    /// weighted by the number of observations backing it. Readings from
-    /// several peers add up; [`MediatorView::consumer_satisfaction`] then
-    /// blends the aggregate with the local tracker.
-    pub fn add_remote_consumer_view(
-        &mut self,
+    /// Intention-based satisfaction `δs(c)` of a consumer, blending this
+    /// mediator's own reading with `peers`: the `(mean satisfaction,
+    /// weight)` that the other mediators reported at the last
+    /// synchronization round. Each side is weighted by its number of
+    /// observations. Without a peer reading (the mono-mediator case) this
+    /// is exactly the local tracker's reading.
+    pub fn blended_consumer_satisfaction(
+        &self,
         consumer: ConsumerId,
-        satisfaction: f64,
-        weight: u64,
-    ) {
-        if weight == 0 || !satisfaction.is_finite() {
-            return;
+        peers: Option<(f64, u64)>,
+    ) -> f64 {
+        let local = self.consumers.get(consumer);
+        match (local.map(|t| t.satisfaction()), peers) {
+            (Some(local_sat), Some((remote_sat, remote_weight))) => {
+                let local_weight = local.map_or(0, |t| t.window_len() as u64);
+                if local_weight == 0 {
+                    remote_sat
+                } else {
+                    let (lw, rw) = (local_weight as f64, remote_weight as f64);
+                    (local_sat * lw + remote_sat * rw) / (lw + rw)
+                }
+            }
+            (Some(local_sat), None) => local_sat,
+            (None, Some((remote_sat, _))) => remote_sat,
+            (None, None) => self.config.initial_satisfaction,
         }
-        // A consumer removed here has departed the whole system (the
-        // engine removes it from every shard in the same event); a peer
-        // digest that still mentions it is stale and must not bring the
-        // view back from the dead.
-        if self.departed_consumers.contains(consumer) {
-            return;
-        }
-        let view = self
-            .remote_consumers
-            .or_insert_with(consumer, || RemoteConsumerView {
-                weighted_satisfaction: 0.0,
-                weight: 0,
-            });
-        view.weighted_satisfaction += satisfaction * weight as f64;
-        view.weight += weight;
-    }
-
-    /// The aggregated remote satisfaction view for a consumer, if any peer
-    /// reported one: `(mean satisfaction, total weight)`.
-    pub fn remote_consumer_view(&self, consumer: ConsumerId) -> Option<(f64, u64)> {
-        self.remote_consumers
-            .get(consumer)
-            .filter(|v| v.weight > 0)
-            .map(|v| (v.weighted_satisfaction / v.weight as f64, v.weight))
     }
 
     /// Total number of allocations recorded.
@@ -385,25 +336,9 @@ impl Default for MediatorState {
 
 impl MediatorView for MediatorState {
     fn consumer_satisfaction(&self, consumer: ConsumerId) -> f64 {
-        // Blend the local tracker with whatever peer mediators reported at
-        // the last synchronization, weighting each side by its number of
-        // observations. With no remote views (the mono-mediator case) this
-        // is exactly the local reading.
-        let local = self.consumers.get(consumer).map(|t| t.satisfaction());
-        match (local, self.remote_consumer_view(consumer)) {
-            (Some(local_sat), Some((remote_sat, remote_weight))) => {
-                let local_weight = self.consumer_observation_weight(consumer);
-                if local_weight == 0 {
-                    remote_sat
-                } else {
-                    let (lw, rw) = (local_weight as f64, remote_weight as f64);
-                    (local_sat * lw + remote_sat * rw) / (lw + rw)
-                }
-            }
-            (Some(local_sat), None) => local_sat,
-            (None, Some((remote_sat, _))) => remote_sat,
-            (None, None) => self.config.initial_satisfaction,
-        }
+        // The local reading alone; an allocation blends in its peers'
+        // readings through `Mediator::allocate`.
+        self.blended_consumer_satisfaction(consumer, None)
     }
 
     fn provider_satisfaction(&self, provider: ProviderId) -> f64 {
@@ -514,7 +449,7 @@ mod tests {
         );
         assert!(state.provider_adequation(ProviderId::new(1)) < 0.9);
         assert_eq!(state.providers().count(), 2);
-        assert_eq!(state.consumers().count(), 1);
+        assert_eq!(state.consumer_readings().count(), 1);
     }
 
     #[test]
@@ -543,6 +478,33 @@ mod tests {
         assert_eq!(state.consumer_satisfaction(q.consumer), 0.5);
         assert!(state.provider_tracker(ProviderId::new(0)).is_none());
         assert!(state.consumer_tracker(q.consumer).is_none());
+    }
+
+    #[test]
+    fn peer_readings_blend_by_observation_weight() {
+        let mut state = MediatorState::paper_default();
+        let q = query();
+        let cands = candidates(&[(0, 1.0, 1.0)]);
+        for _ in 0..3 {
+            state.record_allocation(&q, &cands, &allocation_to(q.id, 0));
+        }
+        // A registered consumer with no observation publishes no reading.
+        state.register_consumer(ConsumerId::new(9));
+        let local = state.consumer_satisfaction(q.consumer);
+        assert_eq!(
+            state.consumer_readings().collect::<Vec<_>>(),
+            vec![(q.consumer, local, 3)]
+        );
+        assert_eq!(state.blended_consumer_satisfaction(q.consumer, None), local);
+        assert_eq!(
+            state.blended_consumer_satisfaction(q.consumer, Some((0.2, 9))),
+            (local * 3.0 + 0.2 * 9.0) / 12.0
+        );
+        // A consumer only the peers observed reads the peers' reading.
+        assert_eq!(
+            state.blended_consumer_satisfaction(ConsumerId::new(5), Some((0.3, 4))),
+            0.3
+        );
     }
 
     /// The dense column must agree, bit for bit, with a from-scratch
@@ -642,7 +604,7 @@ mod tests {
         state.register_consumer(ConsumerId::new(2));
         state.register_consumer(ConsumerId::new(2));
         assert_eq!(state.providers().count(), 1);
-        assert_eq!(state.consumers().count(), 1);
+        assert!(state.consumer_tracker(ConsumerId::new(2)).is_some());
         assert_eq!(state.config().consumer_window, 200);
     }
 }

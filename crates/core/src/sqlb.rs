@@ -95,28 +95,6 @@ impl SqlbAllocator {
     pub fn config(&self) -> SqlbConfig {
         self.config
     }
-
-    /// Scores a single candidate for a query issued by `query.consumer`.
-    pub fn score_candidate(
-        &self,
-        query: &Query,
-        candidate: &CandidateInfo,
-        view: &dyn MediatorView,
-    ) -> f64 {
-        let w = match self.config.omega_policy {
-            OmegaPolicy::SatisfactionBalanced => omega(
-                view.consumer_satisfaction(query.consumer),
-                view.provider_satisfaction(candidate.provider),
-            ),
-            OmegaPolicy::Fixed(w) => w.clamp(0.0, 1.0),
-        };
-        provider_score(
-            candidate.provider_intention,
-            candidate.consumer_intention,
-            w,
-            self.config.params,
-        )
-    }
 }
 
 impl AllocationMethod for SqlbAllocator {

@@ -43,10 +43,7 @@ pub const DEFAULT_MIN_MAX_C0: f64 = 0.1;
 /// zero values, we utilize the arithmetic mean to obtain this representative
 /// number."
 pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().sum::<f64>() / values.len() as f64
+    Moments::of(values).mean()
 }
 
 /// Jain's fairness index `f(g, S)` (Equation 4). Returns `1` for an empty
@@ -55,17 +52,82 @@ pub fn mean(values: &[f64]) -> f64 {
 /// The index lies in `[1/‖S‖, 1]` for non-negative inputs; the closer to 1,
 /// the fairer the allocation of `g` values across `S`.
 pub fn fairness(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 1.0;
+    Moments::of(values).fairness()
+}
+
+/// Running folds behind [`mean`], [`fairness`] and [`spread`], for
+/// callers that see their values one at a time: a sweep can fold several
+/// sets in one pass and read bit-identical results, because the slice
+/// functions are these same sequential folds.
+#[derive(Debug, Clone, Copy)]
+pub struct Moments {
+    count: usize,
+    sum: f64,
+    sum_sq: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Moments {
+    /// The empty set. The sums start from `-0.0`, the identity of float
+    /// addition and the value `Iterator::sum` starts from.
+    pub const EMPTY: Moments = Moments {
+        count: 0,
+        sum: -0.0,
+        sum_sq: -0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+    };
+
+    /// The folds over a whole set, in slice order.
+    pub fn of(values: &[f64]) -> Moments {
+        let mut moments = Moments::EMPTY;
+        for &value in values {
+            moments.push(value);
+        }
+        moments
     }
-    let sum: f64 = values.iter().sum();
-    let sum_sq: f64 = values.iter().map(|v| v * v).sum();
-    if sum_sq == 0.0 {
-        // All values are exactly zero: every participant is treated
-        // identically, which we report as perfectly fair.
-        return 1.0;
+
+    /// Adds one value to the set.
+    pub fn push(&mut self, value: f64) {
+        self.count += 1;
+        self.sum += value;
+        self.sum_sq += value * value;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
     }
-    (sum * sum) / (values.len() as f64 * sum_sq)
+
+    /// Number of values pushed.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// [`mean`] of the values pushed.
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        self.sum / self.count as f64
+    }
+
+    /// [`fairness`] of the values pushed.
+    pub fn fairness(&self) -> f64 {
+        if self.count == 0 || self.sum_sq == 0.0 {
+            // Empty, or all values exactly zero: every participant is
+            // treated identically, which we report as perfectly fair.
+            return 1.0;
+        }
+        (self.sum * self.sum) / (self.count as f64 * self.sum_sq)
+    }
+
+    /// [`spread`] of the values pushed.
+    pub fn spread(&self) -> f64 {
+        if self.min > self.max {
+            0.0
+        } else {
+            self.max - self.min
+        }
+    }
 }
 
 /// Range `max(S) − min(S)` of a set of values. Returns `0` for an empty
@@ -73,17 +135,7 @@ pub fn fairness(values: &[f64]) -> f64 {
 /// imbalance series: the spread of per-shard utilizations is the quantity
 /// cross-shard migration tries to shrink.
 pub fn spread(values: &[f64]) -> f64 {
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for &v in values {
-        min = min.min(v);
-        max = max.max(v);
-    }
-    if min > max {
-        0.0
-    } else {
-        max - min
-    }
+    Moments::of(values).spread()
 }
 
 /// Min–max balance ratio `σ(g, S)` (Equation 5) with the default constant

@@ -360,13 +360,6 @@ impl SimulationConfig {
         self
     }
 
-    /// Sets the minimum per-shard utilization spread that triggers a
-    /// migration.
-    pub fn with_migration_min_spread(mut self, spread: f64) -> Self {
-        self.migration_min_spread = spread;
-        self
-    }
-
     /// Selects the mediation backend intentions are gathered through.
     pub fn with_mediation(mut self, mediation: MediationMode) -> Self {
         self.mediation = mediation;
@@ -503,7 +496,7 @@ mod tests {
 
     #[test]
     fn builders_set_flags() {
-        let c = SimulationConfig::scaled(10, 20, 100.0, 0)
+        let mut c = SimulationConfig::scaled(10, 20, 100.0, 0)
             .with_workload(WorkloadPattern::Fixed(0.8))
             .with_seed(9)
             .with_provider_departures(ProviderDepartureRule::default())
@@ -512,8 +505,8 @@ mod tests {
             .with_sync_interval(25.0)
             .with_routing(RoutingPolicyKind::LeastLoaded)
             .with_migration(true)
-            .with_rebalance_interval(40.0)
-            .with_migration_min_spread(0.2);
+            .with_rebalance_interval(40.0);
+        c.migration_min_spread = 0.2;
         assert_eq!(c.workload, WorkloadPattern::Fixed(0.8));
         assert_eq!(c.seed, 9);
         assert_eq!(c.population.seed, 9);

@@ -16,7 +16,8 @@
 //! mono-mediator pipeline. With `K > 1`, providers are partitioned across
 //! `K` [`sqlb_core::Mediator`]s by the [`crate::shard::ShardRouter`],
 //! queries route to the shard of their consumer, and a periodic
-//! [`Event::SyncViews`] exchanges satisfaction digests between shards.
+//! [`Event::SyncViews`] rebuilds the router's sync board of every shard's
+//! consumer readings.
 //!
 //! All per-participant engine state (queue drain times, departure strikes)
 //! lives in [`ParticipantTable`]s keyed by stable ids, never in vectors
@@ -35,7 +36,7 @@ use sqlb_mediation::{
     candidate_info, run_wave_threaded, IntentionWave, Latency, ProviderAnswer, Reactor,
     RuntimeConfig,
 };
-use sqlb_metrics::{fairness, mean, spread, Summary, TimeSeries};
+use sqlb_metrics::{Moments, Summary, TimeSeries};
 use sqlb_obs::{Counter as ObsCounter, EventKind, Histogram as ObsHistogram, Obs};
 use sqlb_reputation::ReputationStore;
 use sqlb_transport::{HostFault, ServerConfig, SocketMediator, WaveJobs};
@@ -336,14 +337,17 @@ pub struct Simulator {
     performed_at_last_rebalance: ParticipantTable<ProviderId, u64>,
     /// Reusable arrival-path buffers (see [`ArrivalScratch`]).
     scratch: ArrivalScratch,
+    /// Reusable per-shard `(utilization, smoothed satisfaction)` sums of
+    /// the `Sample` sweep.
+    shard_sums: Vec<(f64, f64)>,
     /// The mediation backend intentions are gathered through.
     mediation: MediationDriver,
     /// Scenario run state (`None` for plain runs — the default).
     scenario: Option<ScenarioState>,
     /// The run's observability handle: live when
     /// [`SimulationConfig::observability`] is set, a no-op shell
-    /// otherwise. Clones of it are planted in the mediator shards and
-    /// the mediation backend at build time, so one snapshot covers the
+    /// otherwise. Clones of it are planted in the shard router and the
+    /// mediation backend at build time, so one snapshot covers the
     /// whole run.
     obs: Obs,
     /// Pre-resolved engine instruments (see [`EngineMetrics`]).
@@ -413,11 +417,7 @@ impl Simulator {
         // same-seed reports are bit-identical either way (pinned by the
         // observability integration tests).
         let obs = Obs::when(config.observability);
-        if obs.is_enabled() {
-            for shard in 0..router.shard_count() {
-                router.mediator_mut(shard).set_obs(&obs);
-            }
-        }
+        router.set_obs(&obs);
 
         // The wave deadline is only a guard on the simulated topologies
         // (in-process participants answer as soon as they are polled);
@@ -527,6 +527,7 @@ impl Simulator {
             allocations_at_last_rebalance: Vec::new(),
             performed_at_last_rebalance: ParticipantTable::new(),
             scratch: ArrivalScratch::default(),
+            shard_sums: Vec::new(),
             mediation,
             scenario,
             metrics: EngineMetrics::resolve(&obs),
@@ -1301,28 +1302,44 @@ impl Simulator {
 
     fn handle_sample(&mut self) {
         let now = self.now;
-        let mut sat_intention = Vec::new();
-        let mut sat_preference = Vec::new();
-        let mut alloc_sat_pref = Vec::new();
-        let mut alloc_sat_int = Vec::new();
-        let mut utilizations = Vec::new();
-        for p in self
-            .population
-            .providers
-            .values_mut()
-            .filter(|p| !p.has_departed())
-        {
+        let shard_count = self.router.shard_count();
+        // One walk over the providers in ascending id order folds the
+        // global sets and every shard's sums. Each shard's provider list
+        // is ascending too, so its sums see the same additions in the
+        // same order as a walk over the list would.
+        let mut sat_intention = Moments::EMPTY;
+        let mut sat_preference = Moments::EMPTY;
+        let mut alloc_sat_pref = Moments::EMPTY;
+        let mut alloc_sat_int = Moments::EMPTY;
+        let mut utilizations = Moments::EMPTY;
+        let shard_sums = &mut self.shard_sums;
+        shard_sums.clear();
+        shard_sums.resize(shard_count, (0.0, 0.0));
+        for (id, p) in self.population.providers.iter_mut() {
+            let active = !p.has_departed();
+            let shard = self.router.shard_of_provider(id);
+            if !active && shard.is_none() {
+                continue;
+            }
+            let utilization = p.utilization(now).value();
             // Figure 4(a) reports the provider's long-run feeling about the
             // queries it performs, so the smoothed (Table 2) reading is
             // plotted; the strict Definition 5 value drives departures.
-            sat_intention.push(p.smoothed_satisfaction());
-            sat_preference.push(p.preference_satisfaction());
-            alloc_sat_pref.push(p.preference_allocation_satisfaction());
-            alloc_sat_int.push(p.allocation_satisfaction());
-            utilizations.push(p.utilization(now).value());
+            let satisfaction = p.smoothed_satisfaction();
+            if active {
+                sat_intention.push(satisfaction);
+                sat_preference.push(p.preference_satisfaction());
+                alloc_sat_pref.push(p.preference_allocation_satisfaction());
+                alloc_sat_int.push(p.allocation_satisfaction());
+                utilizations.push(utilization);
+            }
+            if let Some(shard) = shard {
+                shard_sums[shard].0 += utilization;
+                shard_sums[shard].1 += satisfaction;
+            }
         }
-        let mut consumer_alloc_sat = Vec::new();
-        let mut consumer_sat = Vec::new();
+        let mut consumer_alloc_sat = Moments::EMPTY;
+        let mut consumer_sat = Moments::EMPTY;
         for c in self
             .population
             .consumers
@@ -1336,34 +1353,31 @@ impl Simulator {
         let workload_fraction = self.workload_fraction();
         let s = &mut self.series;
         s.provider_satisfaction_intention_mean
-            .push(now, mean(&sat_intention));
+            .push(now, sat_intention.mean());
         s.provider_satisfaction_preference_mean
-            .push(now, mean(&sat_preference));
+            .push(now, sat_preference.mean());
         s.provider_allocation_satisfaction_preference_mean
-            .push(now, mean(&alloc_sat_pref));
+            .push(now, alloc_sat_pref.mean());
         s.provider_allocation_satisfaction_intention_mean
-            .push(now, mean(&alloc_sat_int));
+            .push(now, alloc_sat_int.mean());
         s.provider_satisfaction_fairness
-            .push(now, fairness(&sat_intention));
+            .push(now, sat_intention.fairness());
         s.consumer_allocation_satisfaction_mean
-            .push(now, mean(&consumer_alloc_sat));
-        s.consumer_satisfaction_mean.push(now, mean(&consumer_sat));
+            .push(now, consumer_alloc_sat.mean());
+        s.consumer_satisfaction_mean.push(now, consumer_sat.mean());
         s.consumer_satisfaction_fairness
-            .push(now, fairness(&consumer_sat));
-        s.utilization_mean.push(now, mean(&utilizations));
-        s.utilization_fairness.push(now, fairness(&utilizations));
+            .push(now, consumer_sat.fairness());
+        s.utilization_mean.push(now, utilizations.mean());
+        s.utilization_fairness.push(now, utilizations.fairness());
         s.workload_fraction.push(now, workload_fraction);
-        s.active_providers.push(now, sat_intention.len() as f64);
+        s.active_providers.push(now, sat_intention.count() as f64);
         s.active_consumers
-            .push(now, consumer_alloc_sat.len() as f64);
+            .push(now, consumer_alloc_sat.count() as f64);
 
         // Per-shard load and satisfaction: the imbalance the routing
         // policy and the rebalancer act on, recorded so shard skew is
         // visible in experiment output and not just in the final
-        // `shard_allocations` totals. Calling `utilization(now)` a second
-        // time for the same instant is free of side effects (the sliding
-        // window expires by time).
-        let shard_count = self.router.shard_count();
+        // `shard_allocations` totals.
         let series = &mut self.series;
         if series.shard_utilization.len() != shard_count {
             series
@@ -1376,17 +1390,9 @@ impl Simulator {
                 .shard_allocation_counts
                 .resize_with(shard_count, TimeSeries::new);
         }
-        let mut shard_means = Vec::with_capacity(shard_count);
-        for shard in 0..shard_count {
-            let providers = self.router.providers_of_shard(shard);
-            let mut utilization_sum = 0.0;
-            let mut satisfaction_sum = 0.0;
-            for &p in providers {
-                let provider = &mut self.population.providers[p];
-                utilization_sum += provider.utilization(now).value();
-                satisfaction_sum += provider.smoothed_satisfaction();
-            }
-            let count = providers.len();
+        let mut shard_utilizations = Moments::EMPTY;
+        for (shard, &(utilization_sum, satisfaction_sum)) in self.shard_sums.iter().enumerate() {
+            let count = self.router.providers_of_shard(shard).len();
             let (utilization, satisfaction) = if count == 0 {
                 // An emptied shard carries no load; report it as idle.
                 (0.0, 0.0)
@@ -1403,12 +1409,12 @@ impl Simulator {
                 self.router.mediator(shard).state().allocations() as f64,
             );
             if count > 0 {
-                shard_means.push(utilization);
+                shard_utilizations.push(utilization);
             }
         }
         series
             .shard_utilization_spread
-            .push(now, spread(&shard_means));
+            .push(now, shard_utilizations.spread());
 
         Self::schedule_periodic(
             &mut self.queue,

@@ -12,8 +12,9 @@
 //!   utilization, measured as outstanding work per unit of shard
 //!   capacity. This reacts to skewed workloads (e.g. a consumer
 //!   population that does not divide evenly across shards) at the cost of
-//!   spreading a consumer's allocations over several shards, which the
-//!   periodic digest synchronization then re-aggregates.
+//!   spreading a consumer's allocations over several shards, whose
+//!   readings the periodic sync board (see [`ShardRouter::sync_views`])
+//!   then blends.
 //!
 //! Both policies are deterministic: ties break toward the lowest shard
 //! index, so a run's routing sequence is a pure function of observed state

@@ -8,16 +8,24 @@
 //! every query routes there, reproducing the mono-mediator pipeline
 //! bit-for-bit under the same seed.
 //!
-//! Each shard only observes the allocations it performs, so consumer
-//! satisfaction views drift apart between shards; [`ShardRouter::sync_views`]
-//! runs the periodic all-to-all digest exchange
-//! ([`Mediator::export_digest`] / [`Mediator::absorb_digests`]) that blends
-//! them back together.
+//! Each shard only observes the allocations it performs, so its reading
+//! of a consumer's satisfaction is partial whenever the routing policy
+//! sends that consumer to several shards. [`ShardRouter::sync_views`]
+//! runs the periodic synchronization round that repairs this: it collects
+//! every shard's local consumer readings once, grouped by consumer, on one
+//! sync board the router owns. An allocation on shard `s` for consumer `c`
+//! blends `s`'s live local reading with the sum of `c`'s readings from
+//! every other shard at the last round, walked in shard order
+//! ([`sqlb_core::mediator_state::MediatorState::blended_consumer_satisfaction`]).
+//! A departed consumer's readings leave the board at once, and each round
+//! rebuilds it from the live trackers only.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use sqlb_core::mediator_state::{MediatorStateConfig, ProviderTracker};
 use sqlb_core::{Allocation, CandidateInfo, Mediator};
+use sqlb_obs::{Counter, Obs};
 use sqlb_types::ProviderId;
 use sqlb_types::{ConsumerId, MediatorId, ParticipantTable, Query, StableId};
 
@@ -40,8 +48,102 @@ pub struct ShardRouter {
     /// absorbs the parked tracker back, so the mediator's view of a
     /// re-joining provider continues where it left off.
     parked: BTreeMap<ProviderId, ProviderTracker>,
+    /// Every shard's consumer readings at the last synchronization round.
+    board: SyncBoard,
     /// Completed synchronization rounds.
     sync_rounds: u64,
+    /// Allocation decisions taken across all shards (a no-op handle until
+    /// [`ShardRouter::set_obs`] installs an enabled sink).
+    allocations: Counter,
+}
+
+/// One shard's reading of one consumer on the [`SyncBoard`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Reading {
+    shard: usize,
+    satisfaction: f64,
+    /// Local observations backing the reading; 0 once the consumer
+    /// departed.
+    weight: u64,
+}
+
+/// The consumer readings of the last synchronization round, grouped by
+/// consumer in compressed-sparse-row form: the readings of the consumer
+/// in slot `c` are `readings[offsets[c]..offsets[c + 1]]`, in shard
+/// order. Both buffers keep their capacity across rounds.
+#[derive(Debug, Default)]
+struct SyncBoard {
+    offsets: Vec<usize>,
+    readings: Vec<Reading>,
+}
+
+impl SyncBoard {
+    /// Replaces the board with every shard's current local readings
+    /// (a counting sort by consumer slot, stable in shard order).
+    fn rebuild(&mut self, shards: &[Mediator]) {
+        self.offsets.clear();
+        for shard in shards {
+            for (consumer, _, _) in shard.state().consumer_readings() {
+                let slot = consumer.slot();
+                if self.offsets.len() < slot + 2 {
+                    self.offsets.resize(slot + 2, 0);
+                }
+                self.offsets[slot + 1] += 1;
+            }
+        }
+        for i in 1..self.offsets.len() {
+            self.offsets[i] += self.offsets[i - 1];
+        }
+        let total = self.offsets.last().copied().unwrap_or(0);
+        self.readings.clear();
+        self.readings.resize(total, Reading::default());
+        // `offsets[c]` serves as consumer `c`'s write cursor and ends at
+        // the start of consumer `c + 1`; shifting by one restores it.
+        for (index, shard) in shards.iter().enumerate() {
+            for (consumer, satisfaction, weight) in shard.state().consumer_readings() {
+                let cursor = &mut self.offsets[consumer.slot()];
+                self.readings[*cursor] = Reading {
+                    shard: index,
+                    satisfaction,
+                    weight,
+                };
+                *cursor += 1;
+            }
+        }
+        self.offsets.rotate_right(1);
+        if let Some(first) = self.offsets.first_mut() {
+            *first = 0;
+        }
+    }
+
+    /// Where the readings of `consumer` sit in `readings`.
+    fn range(&self, consumer: ConsumerId) -> Option<Range<usize>> {
+        let slot = consumer.slot();
+        Some(*self.offsets.get(slot)?..*self.offsets.get(slot + 1)?)
+    }
+
+    /// What the shards other than `shard` read of `consumer`:
+    /// `(mean satisfaction, total weight)`, or `None` when none of them
+    /// observed it.
+    fn peer_reading(&self, consumer: ConsumerId, shard: usize) -> Option<(f64, u64)> {
+        let mut weighted = 0.0;
+        let mut weight = 0;
+        for reading in &self.readings[self.range(consumer)?] {
+            if reading.shard != shard {
+                weighted += reading.satisfaction * reading.weight as f64;
+                weight += reading.weight;
+            }
+        }
+        (weight > 0).then(|| (weighted / weight as f64, weight))
+    }
+
+    /// Drops a departed consumer's readings: all of them weigh 0 from now
+    /// on, so no shard reads a peer reading of it until the next round,
+    /// which no longer finds it.
+    fn remove(&mut self, consumer: ConsumerId) {
+        let range = self.range(consumer).unwrap_or_default();
+        self.readings[range].iter_mut().for_each(|r| r.weight = 0);
+    }
 }
 
 /// Derives the method seed of shard `i` from the run seed.
@@ -148,7 +250,9 @@ impl ShardRouter {
             assignment,
             shard_providers,
             parked: BTreeMap::new(),
+            board: SyncBoard::default(),
             sync_rounds: 0,
+            allocations: Counter::default(),
         }
     }
 
@@ -190,20 +294,26 @@ impl ShardRouter {
         &self.shards[shard]
     }
 
-    /// Mutable access to the mediator of a shard.
-    pub fn mediator_mut(&mut self, shard: usize) -> &mut Mediator {
-        &mut self.shards[shard]
+    /// Installs an observability sink: every shard's allocation decisions
+    /// count on one shared `mediator_allocations` counter (the per-shard
+    /// totals are [`ShardRouter::allocations_per_shard`]).
+    pub fn set_obs(&mut self, obs: &Obs) {
+        self.allocations = obs.counter("mediator_allocations");
     }
 
     /// Runs the allocation decision on the given shard and records it in
-    /// that shard's satisfaction state.
+    /// that shard's satisfaction state. The shard scores with its own
+    /// reading of the query's consumer blended with the other shards'
+    /// readings from the last synchronization round.
     pub fn allocate(
         &mut self,
         shard: usize,
         query: &Query,
         candidates: &[CandidateInfo],
     ) -> Allocation {
-        self.shards[shard].allocate(query, candidates)
+        let peers = self.board.peer_reading(query.consumer, shard);
+        self.allocations.inc();
+        self.shards[shard].allocate(query, candidates, peers)
     }
 
     /// Removes a departed provider from its shard's assignment, provider
@@ -263,11 +373,13 @@ impl ShardRouter {
         Some(shard)
     }
 
-    /// Removes a departed consumer from every shard's satisfaction state.
+    /// Removes a departed consumer from every shard's satisfaction state
+    /// and from the sync board.
     pub fn remove_consumer(&mut self, consumer: ConsumerId) {
         for shard in &mut self.shards {
             shard.state_mut().remove_consumer(consumer);
         }
+        self.board.remove(consumer);
     }
 
     /// Re-assigns a provider to the shard `to`, carrying its full
@@ -302,15 +414,14 @@ impl ShardRouter {
         Some(Migration { provider, from, to })
     }
 
-    /// One all-to-all satisfaction-view synchronization round.
+    /// One satisfaction-view synchronization round: rebuilds the sync
+    /// board from every shard's live consumer readings. A no-op with one
+    /// shard, which has no peers.
     pub fn sync_views(&mut self) {
         if self.shards.len() < 2 {
             return;
         }
-        let digests: Vec<_> = self.shards.iter().map(Mediator::export_digest).collect();
-        for shard in &mut self.shards {
-            shard.absorb_digests(&digests);
-        }
+        self.board.rebuild(&self.shards);
         self.sync_rounds += 1;
     }
 
@@ -326,16 +437,12 @@ impl ShardRouter {
             .map(|m| m.state().allocations())
             .collect()
     }
-
-    /// Total allocations across all shards.
-    pub fn total_allocations(&self) -> u64 {
-        self.allocations_per_shard().iter().sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::{LeastLoadedRouting, RoutingPolicy, ShardLoadView};
     use sqlb_core::allocation::MediatorView;
     use sqlb_types::{QueryClass, QueryId, SimTime};
 
@@ -396,26 +503,157 @@ mod tests {
         assert_eq!(r.providers_of_shard(0).len(), 1);
     }
 
+    /// The consumer satisfaction shard `shard` scores `consumer`'s
+    /// queries with: its live local reading blended with the board.
+    fn view(r: &ShardRouter, shard: usize, consumer: ConsumerId) -> f64 {
+        r.mediator(shard)
+            .state()
+            .blended_consumer_satisfaction(consumer, r.board.peer_reading(consumer, shard))
+    }
+
+    /// Serves `consumer` perfectly `queries` times on `shard`.
+    fn serve(r: &mut ShardRouter, shard: usize, consumer: ConsumerId, queries: u32) {
+        for i in 0..queries {
+            let q = Query::single(QueryId::new(i), consumer, QueryClass::Light, SimTime::ZERO);
+            let infos = vec![CandidateInfo::new(r.providers_of_shard(shard)[0])
+                .with_consumer_intention(1.0)
+                .with_provider_intention(1.0)];
+            r.allocate(shard, &q, &infos);
+        }
+    }
+
+    /// `queries` queries of consumers `0..consumers`, each routed by
+    /// least-loaded routing over equal shard capacities and adding its
+    /// work to its shard's backlog, so consumers reach several shards.
+    /// Consumer intentions vary by query, so shards read a consumer
+    /// differently.
+    fn least_loaded_traffic(r: &mut ShardRouter, queries: u32, consumers: u32) {
+        let capacity = vec![1.0; r.shard_count()];
+        let mut backlog = vec![0.0; r.shard_count()];
+        for i in 0..queries {
+            let consumer = ConsumerId::new(i % consumers);
+            let loads = ShardLoadView {
+                backlog: &backlog,
+                capacity: &capacity,
+            };
+            let shard = LeastLoadedRouting.route(consumer, r, loads);
+            let infos: Vec<_> = r
+                .providers_of_shard(shard)
+                .iter()
+                .map(|&p| {
+                    CandidateInfo::new(p)
+                        .with_consumer_intention(f64::from((i * 7 + p.raw()) % 11) / 5.0 - 1.0)
+                        .with_provider_intention(0.5)
+                })
+                .collect();
+            let q = Query::single(QueryId::new(i), consumer, QueryClass::Light, SimTime::ZERO);
+            r.allocate(shard, &q, &infos);
+            backlog[shard] += f64::from(1 + i % 3);
+        }
+    }
+
+    /// Bit patterns of a board reading, so equality is exact.
+    fn bits(reading: Option<(f64, u64)>) -> Option<(u64, u64)> {
+        reading.map(|(satisfaction, weight)| (satisfaction.to_bits(), weight))
+    }
+
     #[test]
     fn sync_propagates_consumer_views_across_shards() {
         let mut r = router(2, 4);
         let consumer = ConsumerId::new(0);
-        let query = Query::single(QueryId::new(1), consumer, QueryClass::Light, SimTime::ZERO);
         // Shard 0 repeatedly sees the consumer perfectly served.
-        for i in 0..10 {
-            let q = Query::single(QueryId::new(i), consumer, QueryClass::Light, SimTime::ZERO);
-            let infos = vec![CandidateInfo::new(ProviderId::new(0))
-                .with_consumer_intention(1.0)
-                .with_provider_intention(1.0)];
-            r.allocate(0, &q, &infos);
-        }
-        let _ = query;
-        let before = r.mediator(1).state().consumer_satisfaction(consumer);
-        assert_eq!(before, 0.5);
+        serve(&mut r, 0, consumer, 10);
+        assert_eq!(view(&r, 1, consumer), 0.5);
         r.sync_views();
-        let after = r.mediator(1).state().consumer_satisfaction(consumer);
+        let after = view(&r, 1, consumer);
         assert!(after > 0.9, "sync should carry the view over, got {after}");
+        // The board lives in the router: shard 1's own state still has
+        // no reading of the consumer.
+        assert_eq!(r.mediator(1).state().consumer_satisfaction(consumer), 0.5);
         assert_eq!(r.sync_rounds(), 1);
+    }
+
+    #[test]
+    fn board_readings_are_the_other_shards_readings_summed_in_shard_order() {
+        let mut r = router(4, 16);
+        least_loaded_traffic(&mut r, 240, 6);
+        // A second round over unchanged trackers rebuilds the same board:
+        // nothing is counted twice.
+        r.sync_views();
+        r.sync_views();
+        let mut spread = 0;
+        for c in 0..6 {
+            let consumer = ConsumerId::new(c);
+            let local = |shard: usize| {
+                r.mediator(shard)
+                    .state()
+                    .consumer_tracker(consumer)
+                    .filter(|t| t.window_len() > 0)
+                    .map(|t| (t.satisfaction(), t.window_len() as u64))
+            };
+            if (0..4).filter(|&s| local(s).is_some()).count() > 1 {
+                spread += 1;
+            }
+            for shard in 0..4 {
+                let mut weighted = 0.0;
+                let mut weight = 0;
+                for (satisfaction, w) in (0..4).filter(|&o| o != shard).filter_map(local) {
+                    weighted += satisfaction * w as f64;
+                    weight += w;
+                }
+                let expected = (weight > 0).then(|| (weighted / weight as f64, weight));
+                assert_eq!(
+                    bits(r.board.peer_reading(consumer, shard)),
+                    bits(expected),
+                    "consumer {c}, shard {shard}"
+                );
+            }
+        }
+        assert!(spread > 0, "least-loaded routing must spread consumers");
+    }
+
+    #[test]
+    fn a_shard_never_counts_its_own_reading() {
+        let mut r = router(2, 4);
+        let consumer = ConsumerId::new(0);
+        serve(&mut r, 0, consumer, 10);
+        r.sync_views();
+        assert_eq!(r.board.peer_reading(consumer, 0), None);
+        assert!(r.board.peer_reading(consumer, 1).is_some());
+        // Shard 0 keeps scoring with its live local reading, which moves
+        // after the round, not with its own published copy.
+        let q = Query::single(QueryId::new(99), consumer, QueryClass::Light, SimTime::ZERO);
+        let infos = vec![CandidateInfo::new(ProviderId::new(0))
+            .with_consumer_intention(-1.0)
+            .with_provider_intention(1.0)];
+        r.allocate(0, &q, &infos);
+        let live = r.mediator(0).state().consumer_satisfaction(consumer);
+        assert_eq!(view(&r, 0, consumer).to_bits(), live.to_bits());
+    }
+
+    #[test]
+    fn a_departed_consumer_leaves_the_board_at_once_and_for_good() {
+        let mut r = router(4, 16);
+        least_loaded_traffic(&mut r, 240, 6);
+        r.sync_views();
+        let departed = ConsumerId::new(2);
+        let stays = ConsumerId::new(3);
+        let kept: Vec<_> = (0..4)
+            .map(|s| bits(r.board.peer_reading(stays, s)))
+            .collect();
+        assert!((0..4).any(|s| r.board.peer_reading(departed, s).is_some()));
+        r.remove_consumer(departed);
+        for _ in 0..2 {
+            for shard in 0..4 {
+                assert_eq!(r.board.peer_reading(departed, shard), None);
+                assert_eq!(view(&r, shard, departed), 0.5);
+            }
+            r.sync_views();
+        }
+        let after: Vec<_> = (0..4)
+            .map(|s| bits(r.board.peer_reading(stays, s)))
+            .collect();
+        assert_eq!(kept, after, "other consumers keep their readings");
     }
 
     #[test]
@@ -596,6 +834,5 @@ mod tests {
         r.allocate(1, &q, &infos);
         r.allocate(1, &q, &infos);
         assert_eq!(r.allocations_per_shard(), vec![1, 2]);
-        assert_eq!(r.total_allocations(), 3);
     }
 }

@@ -242,11 +242,6 @@ impl ParticipantHost {
         self.providers.insert(id, Box::new(endpoint));
     }
 
-    /// Number of endpoints this host multiplexes.
-    pub fn endpoint_count(&self) -> usize {
-        self.consumers.len() + self.providers.len()
-    }
-
     /// Sends the `Hello` declaring this host's endpoints; the server
     /// routes their wave requests over this connection from then on.
     pub fn announce(&mut self) -> io::Result<()> {

@@ -7,7 +7,7 @@
 //! socket crate is involved.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 #[cfg(unix)]
@@ -69,15 +69,6 @@ impl Stream {
                 .unwrap_or_else(|_| "tcp:?".into()),
             #[cfg(unix)]
             Stream::Unix(_) => "uds".into(),
-        }
-    }
-
-    /// The local TCP address, when the stream is TCP.
-    pub fn local_tcp_addr(&self) -> Option<SocketAddr> {
-        match self {
-            Stream::Tcp(s) => s.local_addr().ok(),
-            #[cfg(unix)]
-            Stream::Unix(_) => None,
         }
     }
 

@@ -15,7 +15,7 @@
 //!   path (`Simulator::handle_arrival`), not a hand-written copy of it;
 //! * what the 32 × 64 shard-throughput run costs at K = 1, 2, 4 and 8
 //!   mediator shards, so shard routing and the satisfaction-view sync
-//!   exchange are pinned too, and what its K = 1 run costs with the
+//!   rounds are pinned too, and what its K = 1 run costs with the
 //!   observability layer on.
 //!
 //! An "allocation" is one call to `alloc`, `alloc_zeroed` or `realloc`.
@@ -251,10 +251,10 @@ fn steady_state_inline_arrivals_allocate_a_pinned_count() {
 }
 
 /// Allocations of [`engine_run_allocations`] on the inline backend.
-const INLINE_RUN_PIN: u64 = 2049;
+const INLINE_RUN_PIN: u64 = 850;
 /// Allocations of [`engine_run_allocations`] on the reactor backend: the
 /// inline count plus each wave's boxed jobs and reply vectors.
-const REACTOR_RUN_PIN: u64 = 9586;
+const REACTOR_RUN_PIN: u64 = 8387;
 
 /// Allocations made by `Simulator::new` plus `run` for one small fixed
 /// run on `mediation`: population build, backend set-up, every arrival,
@@ -292,8 +292,9 @@ fn a_reactor_engine_run_allocates_a_pinned_count() {
 
 /// Allocations of [`sharded_run_allocations`] at K = 1, 2, 4 and 8
 /// mediator shards. Past K = 1 they cover `ShardRouter` routing and the
-/// periodic `SyncViews` exchange of satisfaction digests between shards.
-const SHARDED_RUN_PINS: [(usize, u64); 4] = [(1, 12_539), (2, 13_335), (4, 13_671), (8, 13_849)];
+/// periodic `SyncViews` rounds, whose sync board only grows its two
+/// buffers to their high-water mark.
+const SHARDED_RUN_PINS: [(usize, u64); 4] = [(1, 9_140), (2, 9_235), (4, 9_363), (8, 9_524)];
 
 /// Allocations made by `Simulator::new` plus `run` for the 32 × 64
 /// shard-throughput configuration of the `allocation` bench
@@ -328,11 +329,11 @@ fn sharded_engine_runs_allocate_pinned_counts() {
 }
 
 /// Allocations of the K = 1 row of [`sharded_run_allocations`] with the
-/// observability layer on: the obs-off pin plus 32 allocations of the
+/// observability layer on: the obs-off pin plus 23 allocations of the
 /// live layer (registry, named instruments, recorder). Digest equality with
 /// obs on and off (`tests/observability.rs`) and this pin together gate
 /// the layer's cost; a wall-clock overhead percentage is only printed.
-const OBSERVED_K1_RUN_PIN: u64 = 12_571;
+const OBSERVED_K1_RUN_PIN: u64 = 9_163;
 
 #[test]
 fn an_observed_sharded_run_allocates_a_pinned_count() {
