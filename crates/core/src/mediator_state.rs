@@ -89,9 +89,9 @@ impl MediatorState {
     /// instead of `O(P)` — the difference between linear and quadratic
     /// total state as the shard count grows with the population.
     /// Participants outside the class (migrated-in providers, consumers
-    /// routed here by a load-aware policy) spill to a small sorted overflow, so behavior is
-    /// identical at any stride; `(0, 1)` is the dense mono-mediator
-    /// layout.
+    /// routed here by a load-aware policy) spill to a small sorted
+    /// overflow, so behavior is identical at any stride; `(0, 1)` is the
+    /// dense mono-mediator layout.
     pub fn with_slot_stride(config: MediatorStateConfig, offset: usize, stride: usize) -> Self {
         MediatorState {
             config,
