@@ -49,11 +49,6 @@ impl UtilizationWindow {
         }
     }
 
-    /// Creates a window with the default length.
-    pub fn with_default_window(capacity: Capacity) -> Self {
-        UtilizationWindow::new(capacity, SimDuration::from_secs(Self::DEFAULT_WINDOW_SECS))
-    }
-
     /// Records work assigned to the provider at `time`.
     pub fn record_assignment(&mut self, time: SimTime, work: WorkUnits) {
         self.expire(time);
@@ -65,13 +60,6 @@ impl UtilizationWindow {
     /// Current utilization at `now`.
     pub fn utilization(&mut self, now: SimTime) -> Utilization {
         self.expire(now);
-        let denominator = self.capacity.units_per_sec() * self.window.as_secs();
-        Utilization::new(self.total_in_window / denominator)
-    }
-
-    /// Utilization without mutating the window (slightly conservative: work
-    /// older than the window but not yet expired is still counted).
-    pub fn utilization_unexpired(&self) -> Utilization {
         let denominator = self.capacity.units_per_sec() * self.window.as_secs();
         Utilization::new(self.total_in_window / denominator)
     }
@@ -152,16 +140,6 @@ mod tests {
         w.record_assignment(t(5.0), WorkUnits::new(500.0));
         assert!(w.utilization(t(5.0)).value() > 2.0);
         assert!(w.utilization(t(5.0)).is_overloaded());
-    }
-
-    #[test]
-    fn unexpired_view_does_not_mutate() {
-        let mut w = UtilizationWindow::with_default_window(Capacity::new(100.0));
-        w.record_assignment(t(0.0), WorkUnits::new(600.0));
-        let before = w.utilization_unexpired().value();
-        assert!(before > 0.0);
-        // Reading far in the future with the mutating accessor expires it.
-        assert_eq!(w.utilization(t(1000.0)).value(), 0.0);
     }
 
     #[test]

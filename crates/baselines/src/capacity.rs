@@ -17,19 +17,9 @@ use sqlb_types::Query;
 /// The candidate's score is `−Ut(p)`, so ranking by decreasing score yields
 /// the least-utilized providers first; ties are broken by provider
 /// identifier.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CapacityBased {
-    record_ranking: bool,
     scratch: Vec<RankedProvider>,
-}
-
-impl Default for CapacityBased {
-    fn default() -> Self {
-        CapacityBased {
-            record_ranking: true,
-            scratch: Vec::new(),
-        }
-    }
 }
 
 impl CapacityBased {
@@ -56,13 +46,9 @@ impl AllocationMethod for CapacityBased {
             provider: c.provider,
             score: -c.utilization,
         }));
-        let allocation = select_best(query, &mut scored, self.record_ranking);
+        let allocation = select_best(query, &mut scored);
         self.scratch = scored;
         allocation
-    }
-
-    fn set_record_ranking(&mut self, record: bool) {
-        self.record_ranking = record;
     }
 }
 

@@ -94,21 +94,10 @@ impl Default for MariposaConfig {
 /// evaluation exposes: the most *adapted* providers bid lowest, keep
 /// winning queries, and end up overutilized, while QLB is only enforced
 /// "crudely" through the load adjustment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MariposaLike {
     config: MariposaConfig,
-    record_ranking: bool,
     scratch: Vec<RankedProvider>,
-}
-
-impl Default for MariposaLike {
-    fn default() -> Self {
-        MariposaLike {
-            config: MariposaConfig::default(),
-            record_ranking: true,
-            scratch: Vec::new(),
-        }
-    }
 }
 
 impl MariposaLike {
@@ -177,13 +166,9 @@ impl AllocationMethod for MariposaLike {
                 score: -self.effective_cost(c, &bid),
             }
         }));
-        let allocation = select_best(query, &mut scored, self.record_ranking);
+        let allocation = select_best(query, &mut scored);
         self.scratch = scored;
         allocation
-    }
-
-    fn set_record_ranking(&mut self, record: bool) {
-        self.record_ranking = record;
     }
 }
 

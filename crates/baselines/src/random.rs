@@ -3,10 +3,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sqlb_core::{
-    allocation::{Allocation, AllocationMethod, CandidateInfo, MediatorView},
-    scoring::RankedProvider,
-};
+use sqlb_core::allocation::{Allocation, AllocationMethod, CandidateInfo, MediatorView};
 use sqlb_types::Query;
 
 /// Allocates every query to `min(q.n, N)` providers drawn uniformly at
@@ -18,7 +15,6 @@ use sqlb_types::Query;
 #[derive(Debug, Clone)]
 pub struct RandomAllocator {
     rng: StdRng,
-    record_ranking: bool,
     order: Vec<usize>,
 }
 
@@ -27,7 +23,6 @@ impl RandomAllocator {
     pub fn new(seed: u64) -> Self {
         RandomAllocator {
             rng: StdRng::seed_from_u64(seed),
-            record_ranking: true,
             order: Vec::new(),
         }
     }
@@ -50,37 +45,17 @@ impl AllocationMethod for RandomAllocator {
         candidates: &[CandidateInfo],
         _view: &dyn MediatorView,
     ) -> Allocation {
-        // The shuffle consumes the same random stream whether or not the
-        // ranking diagnostic is materialized, so runs stay reproducible
-        // across both modes.
         self.order.clear();
         self.order.extend(0..candidates.len());
         self.order.shuffle(&mut self.rng);
         let n = (query.n as usize).min(candidates.len());
-        let ranking: Vec<RankedProvider> = if self.record_ranking {
-            self.order
-                .iter()
-                .enumerate()
-                .map(|(rank, &idx)| RankedProvider {
-                    provider: candidates[idx].provider,
-                    score: -(rank as f64),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         Allocation {
             query: query.id,
             selected: self.order[..n]
                 .iter()
                 .map(|&idx| candidates[idx].provider)
                 .collect(),
-            ranking,
         }
-    }
-
-    fn set_record_ranking(&mut self, record: bool) {
-        self.record_ranking = record;
     }
 }
 

@@ -1,9 +1,6 @@
 //! A round-robin allocator, used as an ablation reference.
 
-use sqlb_core::{
-    allocation::{Allocation, AllocationMethod, CandidateInfo, MediatorView},
-    scoring::RankedProvider,
-};
+use sqlb_core::allocation::{Allocation, AllocationMethod, CandidateInfo, MediatorView};
 use sqlb_types::Query;
 
 /// Allocates queries to candidates in strict rotation, ignoring intentions,
@@ -13,19 +10,9 @@ use sqlb_types::Query;
 /// evaluation; it provides a "perfectly even spread by count" reference for
 /// ablation benchmarks (note that an even spread by *count* is not an even
 /// spread by *load* when provider capacities are heterogeneous).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RoundRobinAllocator {
     next: u64,
-    record_ranking: bool,
-}
-
-impl Default for RoundRobinAllocator {
-    fn default() -> Self {
-        RoundRobinAllocator {
-            next: 0,
-            record_ranking: true,
-        }
-    }
 }
 
 impl RoundRobinAllocator {
@@ -50,36 +37,17 @@ impl AllocationMethod for RoundRobinAllocator {
             return Allocation {
                 query: query.id,
                 selected: Vec::new(),
-                ranking: Vec::new(),
             };
         }
         let start = (self.next % candidates.len() as u64) as usize;
         self.next = self.next.wrapping_add(1);
         let n = (query.n as usize).min(candidates.len());
-        let ranking: Vec<RankedProvider> = if self.record_ranking {
-            (0..candidates.len())
-                .map(|offset| {
-                    let idx = (start + offset) % candidates.len();
-                    RankedProvider {
-                        provider: candidates[idx].provider,
-                        score: -(offset as f64),
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         Allocation {
             query: query.id,
             selected: (0..n)
                 .map(|offset| candidates[(start + offset) % candidates.len()].provider)
                 .collect(),
-            ranking,
         }
-    }
-
-    fn set_record_ranking(&mut self, record: bool) {
-        self.record_ranking = record;
     }
 }
 

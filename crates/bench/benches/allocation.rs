@@ -110,63 +110,53 @@ fn bench_allocators(c: &mut Criterion) {
 /// loop): gather the consumer's and every candidate provider's intention
 /// from real agents, run the allocation decision on a real mediator, and
 /// record the outcome — exactly what the engine does per query arrival,
-/// minus event-queue and completion bookkeeping. This is the number the
-/// tentpole optimizations move; the `ranking-on` variant shows what the
-/// diagnostic costs when enabled.
+/// minus event-queue and completion bookkeeping.
 fn bench_isolated_allocate(c: &mut Criterion) {
     let mut group = c.benchmark_group("isolated_allocate");
     group.measurement_time(Duration::from_secs(1));
-    for record_ranking in [false, true] {
-        let mut population = Population::generate(&PopulationConfig::scaled(
-            perf::CONSUMERS,
-            perf::PROVIDERS,
-            7,
-        ))
-        .expect("population");
-        let reputation = ReputationStore::neutral();
-        let mut mediator = Mediator::new(
-            MediatorId::new(0),
-            Box::new(SqlbAllocator::new()),
-            MediatorStateConfig::default(),
-        );
-        mediator.set_record_ranking(record_ranking);
-        let candidates: Vec<ProviderId> = population.providers.keys().collect();
-        let mut infos: Vec<CandidateInfo> = Vec::with_capacity(candidates.len());
-        let mut next_query: u32 = 0;
-        let label = if record_ranking {
-            "ranking-on"
-        } else {
-            "hot-path"
-        };
-        group.bench_function(BenchmarkId::new("sqlb", label), |b| {
-            b.iter(|| {
-                let consumer = ConsumerId::new(next_query % perf::CONSUMERS);
-                let class = if next_query.is_multiple_of(2) {
-                    QueryClass::Light
-                } else {
-                    QueryClass::Heavy
-                };
-                let now = SimTime::from_secs(next_query as f64 * 0.01);
-                let query = Query::single(QueryId::new(next_query), consumer, class, now);
-                next_query = next_query.wrapping_add(1);
-                infos.clear();
-                let consumer_agent = &population.consumers[consumer];
-                for &p in &candidates {
-                    let ci = consumer_agent.intention_for(&query, p, &reputation);
-                    let provider_agent = &mut population.providers[p];
-                    let (pi, utilization) = provider_agent.intention_and_utilization(&query, now);
-                    infos.push(
-                        CandidateInfo::new(p)
-                            .with_consumer_intention(ci)
-                            .with_provider_intention(pi)
-                            .with_utilization(utilization),
-                    );
-                }
-                let allocation = mediator.allocate(&query, &infos, None);
-                black_box(allocation.selected.len())
-            })
-        });
-    }
+    let mut population = Population::generate(&PopulationConfig::scaled(
+        perf::CONSUMERS,
+        perf::PROVIDERS,
+        7,
+    ))
+    .expect("population");
+    let reputation = ReputationStore::neutral();
+    let mut mediator = Mediator::new(
+        MediatorId::new(0),
+        Box::new(SqlbAllocator::new()),
+        MediatorStateConfig::default(),
+    );
+    let candidates: Vec<ProviderId> = population.providers.keys().collect();
+    let mut infos: Vec<CandidateInfo> = Vec::with_capacity(candidates.len());
+    let mut next_query: u32 = 0;
+    group.bench_function(BenchmarkId::new("sqlb", "hot-path"), |b| {
+        b.iter(|| {
+            let consumer = ConsumerId::new(next_query % perf::CONSUMERS);
+            let class = if next_query.is_multiple_of(2) {
+                QueryClass::Light
+            } else {
+                QueryClass::Heavy
+            };
+            let now = SimTime::from_secs(next_query as f64 * 0.01);
+            let query = Query::single(QueryId::new(next_query), consumer, class, now);
+            next_query = next_query.wrapping_add(1);
+            infos.clear();
+            let consumer_agent = &population.consumers[consumer];
+            for &p in &candidates {
+                let ci = consumer_agent.intention_for(&query, p, &reputation);
+                let provider_agent = &mut population.providers[p];
+                let (pi, utilization) = provider_agent.intention_and_utilization(&query, now);
+                infos.push(
+                    CandidateInfo::new(p)
+                        .with_consumer_intention(ci)
+                        .with_provider_intention(pi)
+                        .with_utilization(utilization),
+                );
+            }
+            let allocation = mediator.allocate(&query, &infos, None);
+            black_box(allocation.selected.len())
+        })
+    });
     group.finish();
 }
 

@@ -8,7 +8,6 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 use sqlb_core::allocation::CandidateInfo;
 use sqlb_core::mediator_state::MediatorState;
-use sqlb_core::scoring::RankedProvider;
 use sqlb_metrics::{fairness, mean, min_max_ratio, Summary};
 use sqlb_satisfaction::{ConsumerTracker, ProviderTracker};
 use sqlb_types::{ConsumerId, Intention, ProviderId, Query, QueryClass, QueryId, SimTime};
@@ -63,10 +62,6 @@ fn bench_mediator_state(c: &mut Criterion) {
             let allocation = sqlb_core::allocation::Allocation {
                 query: query.id,
                 selected: vec![ProviderId::new(i % 400)],
-                ranking: vec![RankedProvider {
-                    provider: ProviderId::new(i % 400),
-                    score: 1.0,
-                }],
             };
             state.record_allocation(&query, &candidates, &allocation);
             i = i.wrapping_add(1);

@@ -8,7 +8,7 @@
 
 use sqlb_types::{ConsumerId, ProviderId, Query, QueryId};
 
-use crate::scoring::{rank_candidates_in_place, select_top_k, RankedProvider};
+use crate::scoring::{select_top_k, RankedProvider};
 
 /// A provider's bid for a query, used by economic allocation methods
 /// (the Mariposa-like baseline, Section 6.2.2).
@@ -89,8 +89,8 @@ impl CandidateInfo {
     }
 }
 
-/// The outcome of allocating one query: the selected providers (the set
-/// `\hat{P}_q`, in rank order) plus the full ranking for diagnostics.
+/// The outcome of allocating one query: the selected providers, the set
+/// `\hat{P}_q` of Algorithm 1, in rank order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Allocation {
     /// The query that was allocated.
@@ -98,15 +98,6 @@ pub struct Allocation {
     /// The providers the query is allocated to, best first. Always exactly
     /// `min(q.n, N)` providers for a feasible query.
     pub selected: Vec<ProviderId>,
-    /// The complete ranking `R_q` of the candidate set (methods that do not
-    /// produce meaningful scores still return the candidates in their
-    /// selection order with synthetic scores).
-    ///
-    /// Materializing `R_q` per query is a diagnostic, not something the
-    /// allocation pipeline needs — the engine disables it on its hot path
-    /// via [`AllocationMethod::set_record_ranking`], in which case this
-    /// vector is empty.
-    pub ranking: Vec<RankedProvider>,
 }
 
 impl Allocation {
@@ -228,20 +219,6 @@ pub trait AllocationMethod {
         view: &dyn MediatorView,
     ) -> Allocation;
 
-    /// Enables or disables materializing the full ranking `R_q` in every
-    /// returned [`Allocation`].
-    ///
-    /// The ranking is a per-query diagnostic: with it enabled (the
-    /// default, so interactive users always get it) every allocation
-    /// fully sorts and clones the candidate vector; with it disabled a
-    /// method only needs a partial top-`min(q.n, N)` selection and
-    /// returns an empty `ranking`. The *selected* providers are identical
-    /// either way. The simulation engine disables it on its hot path.
-    ///
-    /// The default implementation ignores the request (suitable for
-    /// methods that never materialize a ranking).
-    fn set_record_ranking(&mut self, _record: bool) {}
-
     /// Sets how many worker threads the method may score one candidate
     /// set with. Implementations that parallelize (see `SqlbAllocator`)
     /// must keep the outcome bit-identical to sequential scoring at any
@@ -252,43 +229,18 @@ pub trait AllocationMethod {
     fn set_scoring_threads(&mut self, _threads: usize) {}
 }
 
-/// Helper shared by allocation methods: keep the `min(q.n, N)` best entries
-/// of an already-ranked candidate list and package them as an
-/// [`Allocation`].
-pub fn take_best(query: &Query, ranking: Vec<RankedProvider>) -> Allocation {
-    let n = (query.n as usize).min(ranking.len());
-    Allocation {
-        query: query.id,
-        selected: ranking.iter().take(n).map(|r| r.provider).collect(),
-        ranking,
-    }
-}
-
-/// Hot-path variant of [`take_best`] for score-ranked methods: takes the
-/// *unsorted* scored candidates in a reusable buffer, selects the
-/// `min(q.n, N)` best in place (partial selection — identical prefix to a
-/// full sort, see [`select_top_k`]), and only materializes/sorts the full
-/// ranking when `record_ranking` is set. The buffer is left reusable by
-/// the caller for the next query.
-pub fn select_best(
-    query: &Query,
-    scored: &mut [RankedProvider],
-    record_ranking: bool,
-) -> Allocation {
+/// Helper shared by score-ranked methods: takes the *unsorted* scored
+/// candidates in a reusable buffer, selects the `min(q.n, N)` best in
+/// place (partial selection — the same prefix as the full sort
+/// [`crate::scoring::rank_candidates`], see [`select_top_k`]) and packages
+/// them as an [`Allocation`]. The buffer is left reusable by the caller
+/// for the next query.
+pub fn select_best(query: &Query, scored: &mut [RankedProvider]) -> Allocation {
     let n = (query.n as usize).min(scored.len());
-    if record_ranking {
-        rank_candidates_in_place(scored);
-    } else {
-        select_top_k(scored, n);
-    }
+    select_top_k(scored, n);
     Allocation {
         query: query.id,
         selected: scored[..n].iter().map(|r| r.provider).collect(),
-        ranking: if record_ranking {
-            scored.to_vec()
-        } else {
-            Vec::new()
-        },
     }
 }
 
@@ -330,38 +282,7 @@ mod tests {
     }
 
     #[test]
-    fn take_best_respects_query_n() {
-        let ranking = vec![
-            RankedProvider {
-                provider: ProviderId::new(0),
-                score: 0.9,
-            },
-            RankedProvider {
-                provider: ProviderId::new(1),
-                score: 0.5,
-            },
-            RankedProvider {
-                provider: ProviderId::new(2),
-                score: 0.1,
-            },
-        ];
-        let a = take_best(&query(2), ranking.clone());
-        assert_eq!(a.selected, vec![ProviderId::new(0), ProviderId::new(1)]);
-        assert_eq!(a.len(), 2);
-        assert!(a.is_selected(ProviderId::new(1)));
-        assert!(!a.is_selected(ProviderId::new(2)));
-
-        // q.n larger than the candidate set: all candidates are selected.
-        let a = take_best(&query(10), ranking.clone());
-        assert_eq!(a.len(), 3);
-
-        // Empty candidate set yields an empty allocation.
-        let a = take_best(&query(1), vec![]);
-        assert!(a.is_empty());
-    }
-
-    #[test]
-    fn select_best_matches_take_best_selection() {
+    fn select_best_respects_query_n() {
         let scored = vec![
             RankedProvider {
                 provider: ProviderId::new(2),
@@ -376,16 +297,47 @@ mod tests {
                 score: 0.5,
             },
         ];
-        for n in [1u32, 2, 10] {
-            let reference = take_best(&query(n), crate::scoring::rank_candidates(scored.clone()));
-            let mut buffer = scored.clone();
-            let lean = select_best(&query(n), &mut buffer, false);
-            assert_eq!(lean.selected, reference.selected);
-            assert!(lean.ranking.is_empty(), "lean path skips the ranking");
-            let mut buffer = scored.clone();
-            let full = select_best(&query(n), &mut buffer, true);
-            assert_eq!(full.selected, reference.selected);
-            assert_eq!(full.ranking, reference.ranking);
+        let a = select_best(&query(2), &mut scored.clone());
+        assert_eq!(a.selected, vec![ProviderId::new(0), ProviderId::new(1)]);
+        assert_eq!(a.len(), 2);
+        assert!(a.is_selected(ProviderId::new(1)));
+        assert!(!a.is_selected(ProviderId::new(2)));
+
+        // q.n larger than the candidate set: all candidates are selected.
+        let a = select_best(&query(10), &mut scored.clone());
+        assert_eq!(a.len(), 3);
+
+        // Empty candidate set yields an empty allocation.
+        let a = select_best(&query(1), &mut []);
+        assert!(a.is_empty());
+    }
+
+    #[test]
+    fn select_best_matches_the_full_ranking_prefix() {
+        let scored = vec![
+            RankedProvider {
+                provider: ProviderId::new(2),
+                score: 0.1,
+            },
+            RankedProvider {
+                provider: ProviderId::new(3),
+                score: 0.5,
+            },
+            RankedProvider {
+                provider: ProviderId::new(0),
+                score: 0.9,
+            },
+            RankedProvider {
+                provider: ProviderId::new(1),
+                score: 0.5,
+            },
+        ];
+        let ranking = crate::scoring::rank_candidates(scored.clone());
+        for n in [1u32, 2, 3, 10] {
+            let lean = select_best(&query(n), &mut scored.clone());
+            let k = (n as usize).min(ranking.len());
+            let prefix: Vec<ProviderId> = ranking[..k].iter().map(|r| r.provider).collect();
+            assert_eq!(lean.selected, prefix, "q.n = {n}");
         }
     }
 
@@ -394,7 +346,6 @@ mod tests {
         let allocation = Allocation {
             query: QueryId::new(1),
             selected: vec![ProviderId::new(7), ProviderId::new(2), ProviderId::new(5)],
-            ranking: Vec::new(),
         };
         let mut set = SelectionSet::new();
         set.rebuild(&allocation);
@@ -411,7 +362,6 @@ mod tests {
         let empty = Allocation {
             query: QueryId::new(2),
             selected: vec![],
-            ranking: Vec::new(),
         };
         set.rebuild(&empty);
         assert!(set.is_empty());

@@ -42,7 +42,5 @@ pub use intention::{
 };
 pub use mediator::Mediator;
 pub use mediator_state::MediatorState;
-pub use scoring::{
-    omega, provider_score, rank_candidates, rank_candidates_in_place, select_top_k, RankedProvider,
-};
-pub use sqlb::{OmegaPolicy, SqlbAllocator, SqlbConfig};
+pub use scoring::{omega, provider_score, rank_candidates, select_top_k, RankedProvider};
+pub use sqlb::SqlbAllocator;

@@ -83,16 +83,6 @@ impl Mediator {
         }
     }
 
-    /// The mediator's identity.
-    pub fn id(&self) -> MediatorId {
-        self.id
-    }
-
-    /// Name of the allocation method this mediator runs.
-    pub fn method_name(&self) -> &'static str {
-        self.method.name()
-    }
-
     /// The mediator's satisfaction state.
     pub fn state(&self) -> &MediatorState {
         &self.state
@@ -101,12 +91,6 @@ impl Mediator {
     /// Mutable access to the mediator's satisfaction state.
     pub fn state_mut(&mut self) -> &mut MediatorState {
         &mut self.state
-    }
-
-    /// Enables or disables the per-allocation ranking diagnostic of the
-    /// underlying method (see [`AllocationMethod::set_record_ranking`]).
-    pub fn set_record_ranking(&mut self, record: bool) {
-        self.method.set_record_ranking(record);
     }
 
     /// Sets the scoring-kernel thread count of the underlying method (see
@@ -122,6 +106,11 @@ impl Mediator {
     /// mediators' `(mean satisfaction, weight)` reading of
     /// `query.consumer`, if any; the method sees it blended with the
     /// local reading.
+    ///
+    /// This is the one place that decides and records an allocation:
+    /// the engine's shards and every round over the mediation reactor
+    /// come through here. The returned [`Allocation`] is the selection
+    /// `P̂_q`, best first.
     pub fn allocate(
         &mut self,
         query: &Query,
@@ -190,8 +179,6 @@ mod tests {
         let allocation = m.allocate(&q, &candidates(&[(0, 0.9, 0.9), (1, -0.9, -0.9)]), None);
         assert_eq!(allocation.selected, vec![ProviderId::new(0)]);
         assert_eq!(m.state().allocations(), 1);
-        assert_eq!(m.method_name(), "SQLB");
-        assert_eq!(m.id(), MediatorId::new(0));
     }
 
     #[test]

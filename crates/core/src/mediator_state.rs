@@ -212,28 +212,12 @@ impl MediatorState {
         self.allocations += 1;
     }
 
-    /// Intention-based adequation `δa(c)` of a consumer.
-    pub fn consumer_adequation(&self, consumer: ConsumerId) -> f64 {
-        self.consumers
-            .get(consumer)
-            .map(|t| t.adequation())
-            .unwrap_or(self.config.initial_satisfaction)
-    }
-
     /// Intention-based allocation satisfaction `δas(c)` of a consumer.
     pub fn consumer_allocation_satisfaction(&self, consumer: ConsumerId) -> f64 {
         self.consumers
             .get(consumer)
             .map(|t| t.allocation_satisfaction())
             .unwrap_or(1.0)
-    }
-
-    /// Intention-based adequation `δa(p)` of a provider.
-    pub fn provider_adequation(&self, provider: ProviderId) -> f64 {
-        self.providers
-            .get(provider)
-            .map(|t| t.adequation())
-            .unwrap_or(self.config.initial_satisfaction)
     }
 
     /// Intention-based allocation satisfaction `δas(p)` of a provider.
@@ -369,7 +353,6 @@ impl MediatorView for MediatorState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scoring::RankedProvider;
     use sqlb_types::{QueryClass, QueryId, SimTime};
 
     fn query() -> Query {
@@ -396,10 +379,6 @@ mod tests {
         Allocation {
             query,
             selected: vec![ProviderId::new(provider)],
-            ranking: vec![RankedProvider {
-                provider: ProviderId::new(provider),
-                score: 1.0,
-            }],
         }
     }
 
@@ -408,8 +387,6 @@ mod tests {
         let state = MediatorState::paper_default();
         assert_eq!(state.consumer_satisfaction(ConsumerId::new(7)), 0.5);
         assert_eq!(state.provider_satisfaction(ProviderId::new(7)), 0.5);
-        assert_eq!(state.consumer_adequation(ConsumerId::new(7)), 0.5);
-        assert_eq!(state.provider_adequation(ProviderId::new(7)), 0.5);
         assert_eq!(
             state.consumer_allocation_satisfaction(ConsumerId::new(7)),
             1.0
@@ -432,7 +409,8 @@ mod tests {
         assert_eq!(state.allocations(), 1);
         // Consumer got its preferred provider: satisfaction above
         // adequation.
-        assert!(state.consumer_satisfaction(q.consumer) > state.consumer_adequation(q.consumer));
+        let consumer_adequation = state.consumer_tracker(q.consumer).unwrap().adequation();
+        assert!(state.consumer_satisfaction(q.consumer) > consumer_adequation);
         assert!(state.consumer_allocation_satisfaction(q.consumer) > 1.0);
         // Selected provider's satisfaction reflects its positive intention.
         assert!(state.provider_satisfaction(ProviderId::new(0)) > 0.9);
@@ -447,7 +425,8 @@ mod tests {
                 .satisfaction_strict(),
             0.0
         );
-        assert!(state.provider_adequation(ProviderId::new(1)) < 0.9);
+        let provider = state.provider_tracker(ProviderId::new(1)).unwrap();
+        assert!(provider.adequation() < 0.9);
         assert_eq!(state.providers().count(), 2);
         assert_eq!(state.consumer_readings().count(), 1);
     }

@@ -230,12 +230,6 @@ fn ranking_order(a: &RankedProvider, b: &RankedProvider) -> Ordering {
         .then_with(|| a.provider.cmp(&b.provider))
 }
 
-/// Sorts a candidate slice into ranking order in place (the vector `R_q`
-/// of Section 5.3), without reallocating.
-pub fn rank_candidates_in_place(candidates: &mut [RankedProvider]) {
-    candidates.sort_unstable_by(ranking_order);
-}
-
 /// Puts the `min(k, len)` best candidates — by the same deterministic
 /// order as [`rank_candidates`] — in ranking order at the front of the
 /// slice. The rest of the slice is left in unspecified order.
@@ -273,7 +267,7 @@ pub fn select_top_k(candidates: &mut [RankedProvider], k: usize) {
 /// Section 5.3). Ties are broken by provider identifier so the ranking is
 /// deterministic.
 pub fn rank_candidates(mut candidates: Vec<RankedProvider>) -> Vec<RankedProvider> {
-    rank_candidates_in_place(&mut candidates);
+    candidates.sort_unstable_by(ranking_order);
     candidates
 }
 

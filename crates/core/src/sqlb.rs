@@ -6,29 +6,6 @@ use crate::allocation::{select_best, Allocation, AllocationMethod, CandidateInfo
 use crate::intention::IntentionParams;
 use crate::scoring::{best_candidate_lazy, omega, provider_score, score_batch, RankedProvider};
 
-/// How the consumer/provider trade-off weight `ω` is obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum OmegaPolicy {
-    /// Equation 6: `ω = ((δs(c) − δs(p)) + 1) / 2`, computed per candidate
-    /// from the mediator's intention-based satisfaction view. This is the
-    /// policy that "guarantees equity at all levels".
-    #[default]
-    SatisfactionBalanced,
-    /// A fixed `ω` value. Section 5.3 notes that "one can also set ω's
-    /// value according to the kind of application", e.g. `ω = 0` when
-    /// providers are cooperative and result quality is all that matters.
-    Fixed(f64),
-}
-
-/// Configuration of the SQLB allocator.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SqlbConfig {
-    /// The `ε` constant used by the scoring function (Definition 9).
-    pub params: IntentionParams,
-    /// How `ω` is obtained.
-    pub omega_policy: OmegaPolicy,
-}
-
 /// The Satisfaction-based Query Load Balancing allocator.
 ///
 /// For every candidate provider `p` of a query `q` issued by consumer `c`,
@@ -39,14 +16,10 @@ pub struct SqlbConfig {
 /// ω        = ((δs(c) − δs(p)) + 1) / 2              (Equation 6)
 /// ```
 ///
-/// ranks the candidates by decreasing score and allocates the query to the
-/// `min(q.n, N)` best-ranked providers (Algorithm 1, lines 6–10).
+/// with `ε` from [`IntentionParams::default`], and allocates the query to
+/// the `min(q.n, N)` best-scored providers (Algorithm 1, lines 6–10).
 #[derive(Debug, Clone)]
 pub struct SqlbAllocator {
-    config: SqlbConfig,
-    /// Whether allocations carry the full ranking `R_q` (diagnostic; the
-    /// engine turns this off on its hot path).
-    record_ranking: bool,
     /// Worker threads the full-evaluation kernel may score one candidate
     /// set with (1 = sequential). Bit-identical at any count.
     scoring_threads: usize,
@@ -65,8 +38,6 @@ pub struct SqlbAllocator {
 impl Default for SqlbAllocator {
     fn default() -> Self {
         SqlbAllocator {
-            config: SqlbConfig::default(),
-            record_ranking: true,
             scoring_threads: 1,
             scratch: Vec::new(),
             sat_scratch: Vec::new(),
@@ -77,23 +48,9 @@ impl Default for SqlbAllocator {
 }
 
 impl SqlbAllocator {
-    /// Creates an allocator with the default configuration (Equation 6
-    /// omega, `ε = 1`).
+    /// Creates an allocator (Equation 6 `ω`, `ε = 1`).
     pub fn new() -> Self {
         SqlbAllocator::default()
-    }
-
-    /// Creates an allocator with an explicit configuration.
-    pub fn with_config(config: SqlbConfig) -> Self {
-        SqlbAllocator {
-            config,
-            ..SqlbAllocator::default()
-        }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> SqlbConfig {
-        self.config
     }
 }
 
@@ -113,41 +70,33 @@ impl AllocationMethod for SqlbAllocator {
         // satisfactions are gathered in one batch call so views backed by
         // a dense column (MediatorState) stream it without a per-candidate
         // virtual dispatch.
+        let consumer_satisfaction = view.consumer_satisfaction(query.consumer);
+        self.sat_scratch.clear();
+        view.provider_satisfactions_into(candidates, &mut self.sat_scratch);
         self.omega_scratch.clear();
-        match self.config.omega_policy {
-            OmegaPolicy::SatisfactionBalanced => {
-                let consumer_satisfaction = view.consumer_satisfaction(query.consumer);
-                self.sat_scratch.clear();
-                view.provider_satisfactions_into(candidates, &mut self.sat_scratch);
-                self.omega_scratch.extend(
-                    self.sat_scratch
-                        .iter()
-                        .map(|&ps| omega(consumer_satisfaction, ps)),
-                );
-            }
-            OmegaPolicy::Fixed(w) => {
-                let w = w.clamp(0.0, 1.0);
-                self.omega_scratch
-                    .extend(std::iter::repeat_n(w, candidates.len()));
-            }
-        }
+        self.omega_scratch.extend(
+            self.sat_scratch
+                .iter()
+                .map(|&ps| omega(consumer_satisfaction, ps)),
+        );
 
         // Stage 2 — the scoring kernel. The engine's hot path (`q.n = 1`,
-        // ranking off) takes the certified-upper-bound lazy argmax, which
-        // is bit-identical to full evaluation; everything else scores the
-        // whole column (in parallel when configured — also bit-identical,
-        // the kernel is pure per candidate and merged in index order).
-        if !self.record_ranking && query.n == 1 && self.scoring_threads <= 1 {
+        // sequential scoring) takes the certified-upper-bound lazy argmax,
+        // which is bit-identical to full evaluation; everything else
+        // scores the whole column (in parallel when configured — also
+        // bit-identical, the kernel is pure per candidate and merged in
+        // index order) and selects its top `min(q.n, N)`.
+        let params = IntentionParams::default();
+        if query.n == 1 && self.scoring_threads <= 1 {
             let selected = best_candidate_lazy(
                 candidates,
                 &self.omega_scratch,
-                self.config.params,
+                params,
                 &mut self.ub_scratch,
             );
             return Allocation {
                 query: query.id,
                 selected: selected.into_iter().map(|r| r.provider).collect(),
-                ranking: Vec::new(),
             };
         }
         let mut scored = std::mem::take(&mut self.scratch);
@@ -156,25 +105,16 @@ impl AllocationMethod for SqlbAllocator {
             score_batch_parallel(
                 candidates,
                 &self.omega_scratch,
-                self.config.params,
+                params,
                 self.scoring_threads,
                 &mut scored,
             );
         } else {
-            score_batch(
-                candidates,
-                &self.omega_scratch,
-                self.config.params,
-                &mut scored,
-            );
+            score_batch(candidates, &self.omega_scratch, params, &mut scored);
         }
-        let allocation = select_best(query, &mut scored, self.record_ranking);
+        let allocation = select_best(query, &mut scored);
         self.scratch = scored;
         allocation
-    }
-
-    fn set_record_ranking(&mut self, record: bool) {
-        self.record_ranking = record;
     }
 
     fn set_scoring_threads(&mut self, threads: usize) {
@@ -275,7 +215,6 @@ mod tests {
         ];
         let alloc = sqlb.allocate(&q, &candidates, &UniformView(0.5));
         assert_eq!(alloc.selected, vec![ProviderId::new(5)]);
-        assert_eq!(alloc.ranking.len(), 5);
     }
 
     #[test]
@@ -288,31 +227,6 @@ mod tests {
         assert_eq!(alloc.len(), 2, "cannot select more providers than exist");
         let alloc = sqlb.allocate(&query(1), &[], &UniformView(0.5));
         assert!(alloc.is_empty());
-    }
-
-    #[test]
-    fn fixed_omega_zero_only_considers_consumer() {
-        // ω = 0: the score equals the consumer intention, so the provider
-        // preferred by the consumer wins even if it does not want the
-        // query.
-        let mut sqlb = SqlbAllocator::with_config(SqlbConfig {
-            params: IntentionParams::default(),
-            omega_policy: OmegaPolicy::Fixed(0.0),
-        });
-        let candidates = vec![candidate(0, 0.9, 0.1), candidate(1, 0.3, 0.95)];
-        let alloc = sqlb.allocate(&query(1), &candidates, &UniformView(0.5));
-        assert_eq!(alloc.selected, vec![ProviderId::new(0)]);
-    }
-
-    #[test]
-    fn fixed_omega_one_only_considers_provider() {
-        let mut sqlb = SqlbAllocator::with_config(SqlbConfig {
-            params: IntentionParams::default(),
-            omega_policy: OmegaPolicy::Fixed(1.0),
-        });
-        let candidates = vec![candidate(0, 0.9, 0.1), candidate(1, 0.3, 0.95)];
-        let alloc = sqlb.allocate(&query(1), &candidates, &UniformView(0.5));
-        assert_eq!(alloc.selected, vec![ProviderId::new(1)]);
     }
 
     #[test]
@@ -338,7 +252,6 @@ mod tests {
             let alloc = Allocation {
                 query: q.id,
                 selected: vec![ProviderId::new(1)],
-                ranking: vec![],
             };
             state.record_allocation(&q, &cands, &alloc);
         }

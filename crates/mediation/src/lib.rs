@@ -23,11 +23,12 @@
 //!   endpoints as polled state machines driven by a single event loop with
 //!   a readiness queue, a timer heap and per-endpoint deadline tracking,
 //!   scaling one host to tens of thousands of endpoints. Its owned-endpoint
-//!   facade [`AsyncMediator`] gathers, allocates and notifies; its batched
-//!   [`AsyncMediator::gather_batch`] / [`AsyncMediator::mediate_batch`]
-//!   are the native entry points. [`run_wave_threaded`] runs the same
-//!   waves on scoped OS threads with a real deadline, as the comparison
-//!   backend.
+//!   facade [`AsyncMediator`] gathers a batch's intentions in one wave
+//!   ([`AsyncMediator::gather_batch`]) and notifies the participants of
+//!   the outcome ([`AsyncMediator::notify`]); the allocation decision in
+//!   between is `sqlb_core::Mediator::allocate`'s, the one place that
+//!   selects and records. [`run_wave_threaded`] runs the same waves on
+//!   scoped OS threads with a real deadline, as the comparison backend.
 
 #![deny(missing_docs)]
 

@@ -44,9 +44,12 @@
 //! # Entry points
 //!
 //! [`AsyncMediator`] is the owned-endpoint facade: register endpoints,
-//! then call [`AsyncMediator::gather_batch`] /
-//! [`AsyncMediator::mediate_batch`] — the native entry points — or the
-//! single-query conveniences built on them. Embedders that already own
+//! gather a batch's intentions in one wave with
+//! [`AsyncMediator::gather_batch`] (or its single-query convenience
+//! [`AsyncMediator::gather`]), hand each query's candidate information to
+//! [`sqlb_core::Mediator::allocate`] — the one place that decides and
+//! records an allocation — and deliver the result with
+//! [`AsyncMediator::notify`]. Embedders that already own
 //! their participants (the simulator engine) build an [`IntentionWave`]
 //! directly, borrowing their agents in the wave's jobs, and hand it to
 //! [`Reactor::run_wave`].
@@ -55,8 +58,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::time::Duration;
 
-use sqlb_core::allocation::{Allocation, AllocationMethod, Bid, CandidateInfo};
-use sqlb_core::MediatorState;
+use sqlb_core::allocation::{Allocation, Bid, CandidateInfo};
 use sqlb_obs::{Counter, EventKind, Histogram, Obs};
 use sqlb_types::{ConsumerId, ParticipantTable, ProviderId, Query, QueryId};
 
@@ -847,17 +849,19 @@ pub fn run_wave_threaded(wave: IntentionWave<'_>, timeout: Duration) -> WaveRepl
     }
 }
 
-/// The owned-endpoint facade over the reactor, with
-/// [`AsyncMediator::gather_batch`] and [`AsyncMediator::mediate_batch`]
-/// as the native entry points.
+/// The owned-endpoint facade over the reactor: [`AsyncMediator::gather_batch`]
+/// runs Algorithm 1's gather step (lines 2–5) for a batch of queries and
+/// [`AsyncMediator::notify`] its notifications (lines 9–10); the
+/// allocation decision in between is [`sqlb_core::Mediator::allocate`]'s.
 ///
 /// Endpoints implement [`ConsumerEndpoint`] / [`ProviderEndpoint`]; their
 /// [`ConsumerEndpoint::latency`] / [`ProviderEndpoint::latency`] hooks
 /// tell the reactor when each reply becomes available.
 ///
 /// ```
+/// use sqlb_core::{mediator_state::MediatorStateConfig, Mediator, SqlbAllocator};
 /// use sqlb_mediation::{AsyncMediator, ConsumerEndpoint, ProviderEndpoint, RuntimeConfig};
-/// use sqlb_types::{ConsumerId, ProviderId, Query, QueryClass, QueryId, SimTime};
+/// use sqlb_types::{ConsumerId, MediatorId, ProviderId, Query, QueryClass, QueryId, SimTime};
 ///
 /// struct Eager(f64);
 /// impl ConsumerEndpoint for Eager {
@@ -878,10 +882,19 @@ pub fn run_wave_threaded(wave: IntentionWave<'_>, timeout: Duration) -> WaveRepl
 ///
 /// let query = Query::single(QueryId::new(1), ConsumerId::new(0), QueryClass::Light, SimTime::ZERO);
 /// let candidates = vec![ProviderId::new(0), ProviderId::new(1)];
-/// let infos = mediator.gather_batch(&[(query, candidates)]);
+/// let infos = mediator.gather_batch(&[(query, candidates.clone())]);
 /// assert_eq!(infos[0][0].provider_intention, 0.8);
 /// assert_eq!(infos[0][1].provider_intention, -0.2);
 /// assert_eq!(infos[0][0].consumer_intention, 0.5);
+///
+/// let mut sqlb = Mediator::new(
+///     MediatorId::new(0),
+///     Box::new(SqlbAllocator::new()),
+///     MediatorStateConfig::default(),
+/// );
+/// let allocation = sqlb.allocate(&query, &infos[0], None);
+/// mediator.notify(&query, &candidates, &allocation);
+/// assert_eq!(allocation.selected, vec![ProviderId::new(0)]);
 /// ```
 pub struct AsyncMediator {
     reactor: Reactor,
@@ -1025,44 +1038,6 @@ impl AsyncMediator {
             .unwrap_or_default()
     }
 
-    /// Runs Algorithm 1 for a whole batch of queries: one gather wave,
-    /// then an allocation decision per query (recorded in the mediator
-    /// state) and the result notifications. Returns one allocation per
-    /// input query, in input order.
-    pub fn mediate_batch<M: AllocationMethod>(
-        &mut self,
-        requests: &[(Query, Vec<ProviderId>)],
-        method: &mut M,
-        state: &mut MediatorState,
-    ) -> Vec<Allocation> {
-        let infos = self.gather_batch(requests);
-        requests
-            .iter()
-            .zip(&infos)
-            .map(|((query, candidates), query_infos)| {
-                let allocation = method.allocate(query, query_infos, state);
-                state.record_allocation(query, query_infos, &allocation);
-                self.notify(query, candidates, &allocation);
-                allocation
-            })
-            .collect()
-    }
-
-    /// Single-query convenience over [`AsyncMediator::mediate_batch`].
-    pub fn mediate<M: AllocationMethod>(
-        &mut self,
-        query: &Query,
-        candidates: &[ProviderId],
-        method: &mut M,
-        state: &mut MediatorState,
-    ) -> Allocation {
-        let requests = [(*query, candidates.to_vec())];
-        self.mediate_batch(&requests, method, state)
-            .into_iter()
-            .next()
-            .expect("one allocation per query")
-    }
-
     /// Notifies every candidate of the mediation result and the consumer
     /// of its allocation (Algorithm 1, lines 9–10). Delivery is
     /// synchronous and in candidate order — the reactor has no detached
@@ -1092,8 +1067,9 @@ impl std::fmt::Debug for AsyncMediator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlb_core::SqlbAllocator;
-    use sqlb_types::{QueryClass, SimTime};
+    use sqlb_core::mediator_state::MediatorStateConfig;
+    use sqlb_core::{Mediator, SqlbAllocator};
+    use sqlb_types::{MediatorId, QueryClass, SimTime};
 
     struct CannedConsumer {
         values: Vec<f64>,
@@ -1380,7 +1356,7 @@ mod tests {
     }
 
     #[test]
-    fn mediate_batch_allocates_and_notifies_synchronously() {
+    fn a_batch_round_allocates_and_notifies_synchronously() {
         let mut mediator = mediator_with(
             &[(0.9, Latency::Immediate), (0.4, Latency::Immediate)],
             vec![0.8, 0.8],
@@ -1389,17 +1365,19 @@ mod tests {
         let candidates: Vec<ProviderId> = (0..2).map(ProviderId::new).collect();
         let batch: Vec<(Query, Vec<ProviderId>)> =
             (0..3).map(|i| (query(i), candidates.clone())).collect();
-        let mut method = SqlbAllocator::new();
-        let mut state = MediatorState::paper_default();
-        let allocations = mediator.mediate_batch(&batch, &mut method, &mut state);
-        assert_eq!(allocations.len(), 3);
-        for allocation in &allocations {
+        let mut sqlb = Mediator::new(
+            MediatorId::new(0),
+            Box::new(SqlbAllocator::new()),
+            MediatorStateConfig::default(),
+        );
+        let infos = mediator.gather_batch(&batch);
+        for ((query, candidates), query_infos) in batch.iter().zip(&infos) {
+            let allocation = sqlb.allocate(query, query_infos, None);
             assert_eq!(allocation.selected, vec![ProviderId::new(0)]);
+            mediator.notify(query, candidates, &allocation);
         }
-        assert_eq!(state.allocations(), 3);
+        assert_eq!(sqlb.state().allocations(), 3);
         // Notices are delivered synchronously: no waiting, no threads.
-        // (Endpoints are owned by the mediator; drop it to inspect them is
-        // not needed — the counters live in the reactor.)
         assert_eq!(mediator.reactor().waves(), 1, "one wave serves the batch");
     }
 

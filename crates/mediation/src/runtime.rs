@@ -120,8 +120,8 @@ mod tests {
     use crate::AsyncMediator;
     use sqlb_baselines::MariposaLike;
     use sqlb_core::mediator_state::MediatorStateConfig;
-    use sqlb_core::{AllocationMethod, MediatorState, MediatorView, SqlbAllocator};
-    use sqlb_types::{ConsumerId, QueryClass, SimTime};
+    use sqlb_core::{Allocation, AllocationMethod, Mediator, MediatorView, SqlbAllocator};
+    use sqlb_types::{ConsumerId, MediatorId, QueryClass, SimTime};
     use std::sync::{Arc, Mutex};
 
     /// What the endpoints were told after mediation, shared with the test
@@ -206,6 +206,33 @@ mod tests {
         (mediator, notices, results)
     }
 
+    fn core_mediator(method: impl AllocationMethod + 'static) -> Mediator {
+        Mediator::new(
+            MediatorId::new(0),
+            Box::new(method),
+            MediatorStateConfig::default(),
+        )
+    }
+
+    /// One round of Algorithm 1 over a batch: one gather wave, then per
+    /// query the core mediator's allocation and the notifications.
+    fn allocate_round(
+        mediator: &mut AsyncMediator,
+        core: &mut Mediator,
+        batch: &[(Query, Vec<ProviderId>)],
+    ) -> Vec<Allocation> {
+        let infos = mediator.gather_batch(batch);
+        batch
+            .iter()
+            .zip(&infos)
+            .map(|((query, candidates), query_infos)| {
+                let allocation = core.allocate(query, query_infos, None);
+                mediator.notify(query, candidates, &allocation);
+                allocation
+            })
+            .collect()
+    }
+
     #[test]
     fn gather_collects_all_intentions() {
         let (mut mediator, _, _) = build_mediator(
@@ -265,13 +292,12 @@ mod tests {
         let (mut mediator, notices, results) =
             build_mediator(&[0.9, 0.4], vec![0.8, 0.8], RuntimeConfig::default());
         let candidates: Vec<ProviderId> = (0..2).map(ProviderId::new).collect();
-        let mut method = SqlbAllocator::new();
-        let mut state = MediatorState::paper_default();
-        let allocation = mediator.mediate(&query(7), &candidates, &mut method, &mut state);
-        assert_eq!(allocation.selected, vec![ProviderId::new(0)]);
-        assert_eq!(state.allocations(), 1);
+        let mut sqlb = core_mediator(SqlbAllocator::new());
+        let allocations = allocate_round(&mut mediator, &mut sqlb, &[(query(7), candidates)]);
+        assert_eq!(allocations[0].selected, vec![ProviderId::new(0)]);
+        assert_eq!(sqlb.state().allocations(), 1);
         // Both candidates learn the outcome, in candidate order, and the
-        // consumer its allocation — all before `mediate` returns.
+        // consumer its allocation — all before `notify` returns.
         assert_eq!(
             *notices.lock().unwrap(),
             vec![(QueryId::new(7), true), (QueryId::new(7), false)]
@@ -295,10 +321,9 @@ mod tests {
         assert_eq!(infos[1].bid.unwrap().price, 200.0);
 
         // And the Mariposa-like broker can consume them directly.
-        let mut broker = MariposaLike::new();
-        let mut state = MediatorState::paper_default();
-        let allocation = mediator.mediate(&query(2), &candidates, &mut broker, &mut state);
-        assert_eq!(allocation.selected, vec![ProviderId::new(0)]);
+        let mut broker = core_mediator(MariposaLike::new());
+        let allocations = allocate_round(&mut mediator, &mut broker, &[(query(2), candidates)]);
+        assert_eq!(allocations[0].selected, vec![ProviderId::new(0)]);
     }
 
     #[test]
@@ -394,20 +419,19 @@ mod tests {
     }
 
     #[test]
-    fn mediate_batch_allocates_and_notifies_per_query() {
+    fn a_batch_round_allocates_and_notifies_per_query() {
         let (mut mediator, notices, results) =
             build_mediator(&[0.9, 0.4], vec![0.8, 0.8], RuntimeConfig::default());
         let candidates: Vec<ProviderId> = (0..2).map(ProviderId::new).collect();
         let batch: Vec<(Query, Vec<ProviderId>)> =
             (0..3).map(|i| (query(i), candidates.clone())).collect();
-        let mut method = SqlbAllocator::new();
-        let mut state = MediatorState::paper_default();
-        let allocations = mediator.mediate_batch(&batch, &mut method, &mut state);
+        let mut sqlb = core_mediator(SqlbAllocator::new());
+        let allocations = allocate_round(&mut mediator, &mut sqlb, &batch);
         assert_eq!(allocations.len(), 3);
         for allocation in &allocations {
             assert_eq!(allocation.selected, vec![ProviderId::new(0)]);
         }
-        assert_eq!(state.allocations(), 3);
+        assert_eq!(sqlb.state().allocations(), 3);
         assert_eq!(notices.lock().unwrap().len(), 6, "2 candidates × 3 queries");
         assert_eq!(results.lock().unwrap().len(), 3);
     }
@@ -434,16 +458,13 @@ mod tests {
             vec![0.9, -0.5, 0.4],
             RuntimeConfig::default(),
         );
-        let mut method = SqlbAllocator::new();
-        let mut state = MediatorState::new(MediatorStateConfig::default());
-        assert_eq!(method.name(), "SQLB");
+        let mut sqlb = core_mediator(SqlbAllocator::new());
         let candidates: Vec<ProviderId> = (0..3).map(ProviderId::new).collect();
-        let allocations =
-            mediator.mediate_batch(&[(query(1), candidates)], &mut method, &mut state);
+        let allocations = allocate_round(&mut mediator, &mut sqlb, &[(query(1), candidates)]);
         assert_eq!(allocations[0].selected, vec![ProviderId::new(0)]);
-        assert_eq!(state.allocations(), 1);
+        assert_eq!(sqlb.state().allocations(), 1);
         assert_eq!(*results.lock().unwrap(), vec![vec![ProviderId::new(0)]]);
         // The consumer got a provider it likes → satisfaction above 0.5.
-        assert!(state.consumer_satisfaction(ConsumerId::new(0)) > 0.5);
+        assert!(sqlb.state().consumer_satisfaction(ConsumerId::new(0)) > 0.5);
     }
 }

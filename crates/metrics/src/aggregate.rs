@@ -170,13 +170,6 @@ pub fn min_max_ratio_with(values: &[f64], c0: f64) -> f64 {
     (min + c0) / (max + c0)
 }
 
-/// Computes Jain's fairness over the values produced by `g` applied to the
-/// members of `set`, a convenience mirroring the paper's `f(g, S)` notation.
-pub fn fairness_with<T>(set: &[T], g: impl Fn(&T) -> f64) -> f64 {
-    let values: Vec<f64> = set.iter().map(g).collect();
-    fairness(&values)
-}
-
 /// Population standard deviation of the values (zero for sets of size < 2).
 pub fn std_dev(values: &[f64]) -> f64 {
     if values.len() < 2 {
@@ -248,16 +241,6 @@ mod tests {
     #[should_panic(expected = "c0 must be strictly positive")]
     fn min_max_ratio_rejects_zero_c0() {
         min_max_ratio_with(&[1.0], 0.0);
-    }
-
-    #[test]
-    fn fairness_with_closure() {
-        struct P {
-            s: f64,
-        }
-        let set = vec![P { s: 0.2 }, P { s: 1.0 }, P { s: 0.6 }];
-        let f = fairness_with(&set, |p| p.s);
-        assert!((f - fairness(&[0.2, 1.0, 0.6])).abs() < 1e-12);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod summary;
 pub mod timeseries;
 
 pub use aggregate::{
-    fairness, fairness_with, mean, min_max_ratio, min_max_ratio_with, spread, MetricKind, Moments,
+    fairness, mean, min_max_ratio, min_max_ratio_with, spread, MetricKind, Moments,
 };
 pub use summary::Summary;
 pub use timeseries::{SeriesSet, TimePoint, TimeSeries};

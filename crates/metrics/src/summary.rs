@@ -54,13 +54,6 @@ impl Summary {
             std_dev: std_dev(values),
         }
     }
-
-    /// Summarizes the values produced by applying `g` to each member of
-    /// `set`, mirroring the paper's `µ(g, S)` notation.
-    pub fn of_with<T>(set: &[T], g: impl Fn(&T) -> f64) -> Self {
-        let values: Vec<f64> = set.iter().map(g).collect();
-        Summary::of(&values)
-    }
 }
 
 #[cfg(test)]
@@ -86,17 +79,6 @@ mod tests {
         assert_eq!(s.min, 0.2);
         assert_eq!(s.max, 1.0);
         assert!(s.std_dev > 0.0);
-    }
-
-    #[test]
-    fn summary_of_with_projection() {
-        struct P {
-            u: f64,
-        }
-        let set = vec![P { u: 0.5 }, P { u: 1.5 }];
-        let s = Summary::of_with(&set, |p| p.u);
-        assert_eq!(s.count, 2);
-        assert!((s.mean - 1.0).abs() < 1e-12);
     }
 
     #[test]

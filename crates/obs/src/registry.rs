@@ -263,14 +263,14 @@ impl Registry {
     /// kind — two call sites disagreeing about a name is a programming
     /// error worth failing loudly on.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut instruments = self.instruments.lock().expect("registry poisoned");
-        let entry = instruments
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Counter(Arc::new(AtomicU64::new(0))));
-        match entry {
-            Instrument::Counter(cell) => Counter(Some(cell.clone())),
-            _ => panic!("obs instrument {name:?} already registered as a non-counter"),
-        }
+        self.resolve(
+            name,
+            || Instrument::Counter(Arc::default()),
+            |instrument| match instrument {
+                Instrument::Counter(cell) => Some(Counter(Some(cell.clone()))),
+                _ => None,
+            },
+        )
     }
 
     /// Resolves the named gauge, registering it on first use.
@@ -279,14 +279,14 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut instruments = self.instruments.lock().expect("registry poisoned");
-        let entry = instruments
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Gauge(Arc::new(AtomicI64::new(0))));
-        match entry {
-            Instrument::Gauge(cell) => Gauge(Some(cell.clone())),
-            _ => panic!("obs instrument {name:?} already registered as a non-gauge"),
-        }
+        self.resolve(
+            name,
+            || Instrument::Gauge(Arc::default()),
+            |instrument| match instrument {
+                Instrument::Gauge(cell) => Some(Gauge(Some(cell.clone()))),
+                _ => None,
+            },
+        )
     }
 
     /// Resolves the named histogram, registering it on first use.
@@ -295,14 +295,32 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn histogram(&self, name: &str) -> Histogram {
+        self.resolve(
+            name,
+            || Instrument::Histogram(Arc::default()),
+            |instrument| match instrument {
+                Instrument::Histogram(histogram) => Some(Histogram(Some(histogram.clone()))),
+                _ => None,
+            },
+        )
+    }
+
+    /// Looks `name` up, registering `make()` under it on first use, and
+    /// hands out `handle` of the instrument. Only a first registration
+    /// allocates (the owned name and the instrument); resolving a name
+    /// that already exists is a lookup and a reference-count bump.
+    fn resolve<H>(
+        &self,
+        name: &str,
+        make: impl FnOnce() -> Instrument,
+        handle: impl FnOnce(&Instrument) -> Option<H>,
+    ) -> H {
         let mut instruments = self.instruments.lock().expect("registry poisoned");
-        let entry = instruments
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Histogram(Arc::new(LogHistogram::new())));
-        match entry {
-            Instrument::Histogram(histogram) => Histogram(Some(histogram.clone())),
-            _ => panic!("obs instrument {name:?} already registered as a non-histogram"),
+        if !instruments.contains_key(name) {
+            instruments.insert(name.to_string(), make());
         }
+        handle(&instruments[name])
+            .unwrap_or_else(|| panic!("obs instrument {name:?} already registered as another kind"))
     }
 
     /// A point-in-time snapshot of every instrument, names sorted.

@@ -224,19 +224,13 @@ impl ShardRouter {
                 // stride-compacted to that residue class: per-shard state
                 // stays O(P/K) no matter how many shards exist.
                 let (offset, stride) = if compact { (i, shard_count) } else { (0, 1) };
-                let mut mediator = Mediator::with_slot_stride(
+                Mediator::with_slot_stride(
                     MediatorId::new(i as u32),
                     method.build(shard_seed(seed, i)),
                     state_config,
                     offset,
                     stride,
-                );
-                // The engine never reads the per-allocation ranking
-                // diagnostic; skipping it keeps the hot path free of the
-                // full sort + clone it would cost. The *selected*
-                // providers are identical either way.
-                mediator.set_record_ranking(false);
-                mediator
+                )
             })
             .collect();
         let mut shard_providers = vec![Vec::new(); shard_count];
@@ -268,13 +262,6 @@ impl ShardRouter {
         for shard in &mut self.shards {
             shard.set_scoring_threads(threads);
         }
-    }
-
-    /// The shard that mediates queries of the given consumer. Routing is a
-    /// pure function of the consumer id, so it never consumes randomness
-    /// and stays stable across departures.
-    pub fn shard_for_consumer(&self, consumer: ConsumerId) -> usize {
-        consumer.slot() % self.shards.len()
     }
 
     /// The shard that owns a provider, if the provider is still present.
@@ -463,7 +450,6 @@ mod tests {
         for p in 0..5 {
             assert_eq!(r.shard_of_provider(ProviderId::new(p)), Some(0));
         }
-        assert_eq!(r.shard_for_consumer(ConsumerId::new(17)), 0);
         assert_eq!(
             r.providers_of_shard(0).len(),
             5,

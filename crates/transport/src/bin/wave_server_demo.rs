@@ -265,7 +265,6 @@ fn run(args: &Args) -> Result<(), String> {
             let allocation = Allocation {
                 query: query.id,
                 selected: vec![candidates[0]],
-                ranking: Vec::new(),
             };
             server.notify(query, candidates, &allocation);
         }

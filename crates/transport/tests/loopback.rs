@@ -346,7 +346,6 @@ fn notices_reach_the_right_endpoints_across_hosts() {
     let allocation = sqlb_core::allocation::Allocation {
         query: q.id,
         selected: vec![ProviderId::new(0)],
-        ranking: Vec::new(),
     };
     server.notify(&q, &candidates, &allocation);
     server.shutdown();

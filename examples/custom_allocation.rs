@@ -36,11 +36,13 @@ impl AllocationMethod for ConsumerFirst {
                 })
                 .collect(),
         );
-        let n = (query.n as usize).min(ranking.len());
         Allocation {
             query: query.id,
-            selected: ranking.iter().take(n).map(|r| r.provider).collect(),
-            ranking,
+            selected: ranking
+                .iter()
+                .take(query.n as usize)
+                .map(|r| r.provider)
+                .collect(),
         }
     }
 }

@@ -15,8 +15,11 @@
 
 use std::time::Duration;
 
+use sqlb::core::mediator_state::MediatorStateConfig;
+use sqlb::core::Mediator;
 use sqlb::mediation::{AsyncMediator, ConsumerEndpoint, Latency, ProviderEndpoint, RuntimeConfig};
 use sqlb::prelude::*;
+use sqlb::types::MediatorId;
 
 /// A consumer that likes providers with an even identifier.
 struct ParityConsumer;
@@ -80,8 +83,13 @@ fn main() {
         );
     }
 
-    let mut method = SqlbAllocator::new();
-    let mut state = MediatorState::paper_default();
+    // The allocation decision and its bookkeeping belong to a core
+    // mediator; the reactor only gathers intentions and delivers results.
+    let mut sqlb = Mediator::new(
+        MediatorId::new(0),
+        Box::new(SqlbAllocator::new()),
+        MediatorStateConfig::default(),
+    );
     let candidates: Vec<ProviderId> = (0..5).map(ProviderId::new).collect();
 
     println!(
@@ -95,22 +103,25 @@ fn main() {
             QueryClass::Light,
             SimTime::ZERO,
         );
-        let allocation = mediator.mediate(&query, &candidates, &mut method, &mut state);
+        let infos = mediator.gather(&query, &candidates);
         let round = mediator.reactor().last_round();
+        let allocation = sqlb.allocate(&query, &infos, None);
+        let chosen = infos
+            .iter()
+            .find(|info| allocation.is_selected(info.provider))
+            .expect("a non-empty candidate set gets a provider");
         println!(
-            "mediator: query {} -> {} (best score {:+.3}; {} answered, {} timed out, \
+            "mediator: query {} -> {} (CI {:+.2}, PI {:+.2}; {} answered, {} timed out, \
              virtual round {:?})",
             query.id,
-            allocation.selected[0],
-            allocation
-                .ranking
-                .first()
-                .map(|r| r.score)
-                .unwrap_or(f64::NAN),
+            chosen.provider,
+            chosen.consumer_intention,
+            chosen.provider_intention,
             round.answered,
             round.timed_out,
             round.virtual_elapsed,
         );
+        mediator.notify(&query, &candidates, &allocation);
     }
 
     println!("\np4's answers miss the 100 ms deadline, so the mediator reads its intention");

@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use sqlb::core::scoring::score_batch;
 use sqlb::prelude::*;
 use sqlb::sim::engine::run_simulation;
 
@@ -35,11 +36,33 @@ fn main() {
 
     let mut sqlb = SqlbAllocator::new();
     let mut state = MediatorState::paper_default();
+
+    // The paper's ranking `R_q`: every candidate's Definition 9 score, with
+    // Equation 6's ω read from the mediator's satisfaction view, sorted
+    // best first. SQLB selects its first `q.n` entries.
+    let omegas: Vec<f64> = candidates
+        .iter()
+        .map(|c| {
+            omega(
+                state.consumer_satisfaction(query.consumer),
+                state.provider_satisfaction(c.provider),
+            )
+        })
+        .collect();
+    let mut scored = Vec::new();
+    score_batch(
+        &candidates,
+        &omegas,
+        IntentionParams::default(),
+        &mut scored,
+    );
+    let ranking = rank_candidates(scored);
+
     let allocation = sqlb.allocate(&query, &candidates, &state);
     state.record_allocation(&query, &candidates, &allocation);
 
     println!("== Single allocation ==");
-    for ranked in &allocation.ranking {
+    for ranked in &ranking {
         println!(
             "  {}  score {:+.3}{}",
             ranked.provider,

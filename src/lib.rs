@@ -92,8 +92,7 @@ pub mod prelude {
     };
     pub use sqlb_core::scoring::{omega, provider_score, rank_candidates, RankedProvider};
     pub use sqlb_core::{
-        consumer_intention, provider_intention, IntentionParams, MediatorState, OmegaPolicy,
-        SqlbAllocator, SqlbConfig,
+        consumer_intention, provider_intention, IntentionParams, MediatorState, SqlbAllocator,
     };
     pub use sqlb_metrics::{fairness, mean, min_max_ratio, Summary, TimeSeries};
     pub use sqlb_reputation::ReputationStore;

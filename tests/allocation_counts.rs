@@ -16,7 +16,9 @@
 //! * what the 32 × 64 shard-throughput run costs at K = 1, 2, 4 and 8
 //!   mediator shards, so shard routing and the satisfaction-view sync
 //!   rounds are pinned too, and what its K = 1 run costs with the
-//!   observability layer on.
+//!   observability layer on;
+//! * that resolving an already registered observability instrument by
+//!   name allocates nothing.
 //!
 //! An "allocation" is one call to `alloc`, `alloc_zeroed` or `realloc`.
 //! A change to a pinned count is a behaviour change: update the pin only
@@ -28,6 +30,7 @@ use std::cell::Cell;
 use sqlb::agents::{ConsumerConfig, Population, PopulationConfig, ProviderAgent, ProviderConfig};
 use sqlb::core::mediator_state::MediatorStateConfig;
 use sqlb::core::{CandidateInfo, SelectionSet};
+use sqlb::obs::Registry;
 use sqlb::reputation::ReputationStore;
 use sqlb::satisfaction::ProviderTracker;
 use sqlb::sim::{MediationMode, Method, ShardRouter, SimulationConfig, Simulator, WorkloadPattern};
@@ -334,6 +337,25 @@ fn sharded_engine_runs_allocate_pinned_counts() {
 /// obs on and off (`tests/observability.rs`) and this pin together gate
 /// the layer's cost; a wall-clock overhead percentage is only printed.
 const OBSERVED_K1_RUN_PIN: u64 = 9_163;
+
+#[test]
+fn resolving_a_registered_instrument_allocates_nothing() {
+    let registry = Registry::new();
+    let ((), first) = counted(|| {
+        registry.counter("wave.count");
+        registry.gauge("wave.depth");
+        registry.histogram("wave.latency");
+    });
+    assert!(first > 0, "a first resolution registers the instrument");
+    let ((), repeated) = counted(|| {
+        for _ in 0..10 {
+            registry.counter("wave.count").inc();
+            registry.gauge("wave.depth").add(1);
+            registry.histogram("wave.latency").record(1e-6);
+        }
+    });
+    assert_eq!(repeated, 0, "resolving a known name must not allocate");
+}
 
 #[test]
 fn an_observed_sharded_run_allocates_a_pinned_count() {

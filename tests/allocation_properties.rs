@@ -2,6 +2,7 @@
 //! must uphold, whatever the candidate set looks like.
 
 use proptest::prelude::*;
+use sqlb::core::scoring::score_batch;
 use sqlb::prelude::*;
 use std::collections::HashSet;
 
@@ -67,14 +68,31 @@ fn check_allocation(
     for p in &allocation.selected {
         prop_assert!(candidate_ids.contains(p));
     }
-    // …with no duplicates…
+    // …and none is selected twice.
     let unique: HashSet<ProviderId> = allocation.selected.iter().copied().collect();
     prop_assert_eq!(unique.len(), allocation.selected.len());
-    // …and the ranking is a permutation of the candidate set.
-    prop_assert_eq!(allocation.ranking.len(), candidates.len());
-    let ranked: HashSet<ProviderId> = allocation.ranking.iter().map(|r| r.provider).collect();
-    prop_assert_eq!(ranked, candidate_ids);
     Ok(())
+}
+
+/// A mediator state whose satisfactions differ per participant: each
+/// round allocates a query of consumer `round % 3` over `candidates` to
+/// the candidate the round names.
+fn state_after(candidates: &[CandidateInfo], winners: &[usize]) -> MediatorState {
+    let mut state = MediatorState::paper_default();
+    for (i, &winner) in winners.iter().enumerate() {
+        let query = Query::single(
+            QueryId::new(i as u32),
+            ConsumerId::new((i % 3) as u32),
+            QueryClass::Light,
+            SimTime::ZERO,
+        );
+        let allocation = Allocation {
+            query: query.id,
+            selected: vec![candidates[winner % candidates.len()].provider],
+        };
+        state.record_allocation(&query, candidates, &allocation);
+    }
+    state
 }
 
 proptest! {
@@ -116,6 +134,49 @@ proptest! {
     }
 
     #[test]
+    fn sqlb_selects_the_prefix_of_the_reference_ranking(
+        candidates in arbitrary_candidates(),
+        winners in proptest::collection::vec(0usize..60, 0..40),
+    ) {
+        // The paper's Algorithm 1, literally: score every candidate
+        // (Definition 9, with Equation 6's ω read from the mediator's
+        // state), sort into R_q, keep the first min(q.n, N). The
+        // allocator's lazy argmax (q.n = 1) and top-k selection (q.n > 1)
+        // must pick exactly that prefix, in that order.
+        let state = state_after(&candidates, &winners);
+        let consumer = ConsumerId::new(0);
+        let omegas: Vec<f64> = candidates
+            .iter()
+            .map(|c| {
+                omega(
+                    state.consumer_satisfaction(consumer),
+                    state.provider_satisfaction(c.provider),
+                )
+            })
+            .collect();
+        let mut scored = Vec::new();
+        score_batch(&candidates, &omegas, IntentionParams::default(), &mut scored);
+        let ranking = rank_candidates(scored);
+        let mut sqlb = SqlbAllocator::new();
+        for n in 1u32..=3 {
+            let mut query = Query::single(
+                QueryId::new(1_000 + n),
+                consumer,
+                QueryClass::Light,
+                SimTime::ZERO,
+            );
+            query.n = n;
+            let reference: Vec<ProviderId> = ranking
+                .iter()
+                .take(n as usize)
+                .map(|r| r.provider)
+                .collect();
+            let allocation = sqlb.allocate(&query, &candidates, &state);
+            prop_assert_eq!(allocation.selected, reference, "q.n = {}", n);
+        }
+    }
+
+    #[test]
     fn mediator_state_satisfactions_stay_in_unit_interval(
         rounds in proptest::collection::vec(
             (proptest::collection::vec((-1.0f64..=1.0, -1.0f64..=1.0), 1..10), 0usize..10),
@@ -143,7 +204,6 @@ proptest! {
             let allocation = Allocation {
                 query: query.id,
                 selected: vec![candidates[winner].provider],
-                ranking: vec![],
             };
             state.record_allocation(&query, &candidates, &allocation);
         }

@@ -6,8 +6,21 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use sqlb::core::mediator_state::MediatorStateConfig;
+use sqlb::core::Mediator;
 use sqlb::mediation::{AsyncMediator, ConsumerEndpoint, Latency, ProviderEndpoint, RuntimeConfig};
 use sqlb::prelude::*;
+use sqlb::types::MediatorId;
+
+/// The core mediator that decides and records each allocation; the
+/// reactor facade only gathers intentions and delivers the result.
+fn core_mediator(method: impl AllocationMethod + 'static) -> Mediator {
+    Mediator::new(
+        MediatorId::new(0),
+        Box::new(method),
+        MediatorStateConfig::default(),
+    )
+}
 
 /// A consumer endpoint backed by a real [`ConsumerAgent`].
 struct AgentConsumer {
@@ -111,8 +124,7 @@ fn agents_mediate_over_threads_and_update_their_satisfaction() {
     }
 
     let candidates: Vec<ProviderId> = providers.iter().map(|p| p.lock().unwrap().id()).collect();
-    let mut method = SqlbAllocator::new();
-    let mut state = MediatorState::paper_default();
+    let mut sqlb = core_mediator(SqlbAllocator::new());
 
     let mut selected_counts = vec![0u32; candidates.len()];
     for i in 0..30u32 {
@@ -126,11 +138,13 @@ fn agents_mediate_over_threads_and_update_their_satisfaction() {
             },
             SimTime::ZERO,
         );
-        let allocation = mediator.mediate(&query, &candidates, &mut method, &mut state);
+        let infos = mediator.gather(&query, &candidates);
+        let allocation = sqlb.allocate(&query, &infos, None);
+        mediator.notify(&query, &candidates, &allocation);
         assert_eq!(allocation.selected.len(), 1);
         selected_counts[allocation.selected[0].index()] += 1;
     }
-    assert_eq!(state.allocations(), 30);
+    assert_eq!(sqlb.state().allocations(), 30);
 
     // The winner must be a provider the consumer likes: its preference for
     // the most-selected provider should not be negative while some other
@@ -156,7 +170,7 @@ fn agents_mediate_over_threads_and_update_their_satisfaction() {
         );
     }
 
-    // Allocation notices are delivered before `mediate` returns: the
+    // Allocation notices are delivered before `notify` returns: the
     // providers' own trackers have recorded the proposals.
     let any_updated = providers
         .iter()
@@ -202,19 +216,16 @@ fn mariposa_over_the_runtime_uses_real_bids() {
     );
     assert!(infos.iter().all(|i| i.bid.is_some()), "every provider bids");
 
-    let mut broker = MariposaLike::new();
-    let mut state = MediatorState::paper_default();
-    let allocation = mediator.mediate(
-        &Query::single(
-            QueryId::new(1),
-            consumer_agent.id(),
-            QueryClass::Light,
-            SimTime::ZERO,
-        ),
-        &candidates,
-        &mut broker,
-        &mut state,
+    let mut broker = core_mediator(MariposaLike::new());
+    let query = Query::single(
+        QueryId::new(1),
+        consumer_agent.id(),
+        QueryClass::Light,
+        SimTime::ZERO,
     );
+    let infos = mediator.gather(&query, &candidates);
+    let allocation = broker.allocate(&query, &infos, None);
+    mediator.notify(&query, &candidates, &allocation);
     assert_eq!(allocation.selected.len(), 1);
 }
 
@@ -333,12 +344,11 @@ fn slow_provider_falls_back_to_indifference_on_the_batched_path() {
     }
 
     // The whole mediation still goes through and allocates every query.
-    let mut method = SqlbAllocator::new();
-    let mut state = MediatorState::paper_default();
-    let allocations = mediator.mediate_batch(&batch, &mut method, &mut state);
-    assert_eq!(allocations.len(), 4);
-    for allocation in &allocations {
+    let mut sqlb = core_mediator(SqlbAllocator::new());
+    for ((query, candidates), query_infos) in batch.iter().zip(&infos) {
+        let allocation = sqlb.allocate(query, query_infos, None);
+        mediator.notify(query, candidates, &allocation);
         assert_eq!(allocation.selected.len(), 1);
     }
-    assert_eq!(state.allocations(), 4);
+    assert_eq!(sqlb.state().allocations(), 4);
 }
