@@ -106,19 +106,6 @@ impl MariposaLike {
         MariposaLike::default()
     }
 
-    /// Creates a broker with an explicit configuration.
-    pub fn with_config(config: MariposaConfig) -> Self {
-        MariposaLike {
-            config,
-            ..MariposaLike::default()
-        }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> MariposaConfig {
-        self.config
-    }
-
     /// Effective cost of a candidate's bid: load-adjusted price plus
     /// weighted delay, plus a large penalty if the bid is not under the
     /// consumer's bid curve.
@@ -231,10 +218,13 @@ mod tests {
 
     #[test]
     fn rejected_bids_used_only_as_last_resort() {
-        let mut broker = MariposaLike::with_config(MariposaConfig {
-            default_curve: BidCurve::new(100.0, 10.0),
-            ..MariposaConfig::default()
-        });
+        let mut broker = MariposaLike {
+            config: MariposaConfig {
+                default_curve: BidCurve::new(100.0, 10.0),
+                ..MariposaConfig::default()
+            },
+            ..MariposaLike::default()
+        };
         // Provider 0's bid is over the curve; provider 1's is acceptable
         // but nominally more expensive in raw price + delay terms.
         let candidates = vec![candidate(0, 200.0, 0.0, 0.0), candidate(1, 90.0, 0.5, 0.0)];

@@ -21,7 +21,7 @@ use sqlb_core::scoring::{omega, provider_score};
 use sqlb_core::{Mediator, SqlbAllocator};
 use sqlb_reputation::ReputationStore;
 use sqlb_sim::engine::run_simulation;
-use sqlb_types::{ConsumerId, MediatorId, ProviderId, Query, QueryClass, QueryId, SimTime};
+use sqlb_types::{ConsumerId, ProviderId, Query, QueryClass, QueryId, SimTime};
 
 fn candidates(n: u32) -> Vec<CandidateInfo> {
     (0..n)
@@ -122,7 +122,6 @@ fn bench_isolated_allocate(c: &mut Criterion) {
     .expect("population");
     let reputation = ReputationStore::neutral();
     let mut mediator = Mediator::new(
-        MediatorId::new(0),
         Box::new(SqlbAllocator::new()),
         MediatorStateConfig::default(),
     );

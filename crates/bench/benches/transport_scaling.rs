@@ -47,12 +47,6 @@ fn bench_socket_wave(criterion: &mut Criterion) {
         );
         assert_eq!(round.timed_out, 0);
         assert_eq!(server.connection_count(), perf::TRANSPORT_HOSTS as usize);
-        // The same full-coverage round driven as overlapped sub-waves:
-        // wave t+1 is encoded and sent while wave t's replies are still
-        // being collected.
-        group.bench_function(BenchmarkId::new("pipelined", providers), |b| {
-            b.iter(|| perf::pipelined_round(&mut server, &batch))
-        });
         server.shutdown();
         for host in hosts {
             assert!(host.join().unwrap().expect("host io").clean_shutdown);
@@ -62,16 +56,11 @@ fn bench_socket_wave(criterion: &mut Criterion) {
 
     // Best-of-5 of the acceptance-scale round, with its median as the
     // dispersion companion (criterion's per-iteration mean is noisier
-    // for multi-ms rounds), plus the best-of-5 pipelined round.
+    // for multi-ms rounds).
     let measurement = perf::measure_transport_round(ACCEPTANCE_PROVIDERS, 5);
     println!(
-        "socket_wave: {} endpoints over {} hosts: best round {:.3} ms (median {:.3} ms), \
-         pipelined {:.3} ms",
-        measurement.endpoints,
-        measurement.hosts,
-        measurement.round_ms,
-        measurement.median_ms,
-        measurement.pipelined_ms,
+        "socket_wave: {} endpoints over {} hosts: best round {:.3} ms (median {:.3} ms)",
+        measurement.endpoints, measurement.hosts, measurement.round_ms, measurement.median_ms,
     );
 }
 

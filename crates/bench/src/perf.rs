@@ -69,12 +69,6 @@ pub struct TransportMeasurement {
     /// Median-of-N wall clock of the same rounds, in milliseconds — the
     /// dispersion companion to the best-of-N `round_ms`.
     pub median_ms: f64,
-    /// Best-of-N wall clock of the *pipelined* round, in milliseconds:
-    /// the same batch split into [`TRANSPORT_PIPELINE_SUBWAVES`]
-    /// sub-waves driven through `begin_wave`/`collect_wave` with up to
-    /// [`TRANSPORT_PIPELINE_DEPTH`] waves in flight, so encoding wave
-    /// `t+1` overlaps collecting wave `t`.
-    pub pipelined_ms: f64,
 }
 
 /// One measured scale point of the `scale_1m` benchmark: a full
@@ -159,10 +153,6 @@ pub const TRANSPORT_HOSTS: u32 = 8;
 /// Candidates per query of a transport round: 16 keeps candidate sets
 /// realistic while letting a batch cover every provider endpoint once.
 pub const TRANSPORT_CANDIDATES_PER_QUERY: u32 = 16;
-/// Sub-waves a pipelined transport round splits its batch into.
-pub const TRANSPORT_PIPELINE_SUBWAVES: usize = 8;
-/// Maximum waves in flight while driving a pipelined transport round.
-pub const TRANSPORT_PIPELINE_DEPTH: usize = 4;
 
 struct FlatConsumer;
 
@@ -245,28 +235,10 @@ pub fn full_coverage_batch(providers: u32) -> Vec<(Query, Vec<ProviderId>)> {
         .collect()
 }
 
-/// One pipelined round over the whole batch: the batch is split into
-/// [`TRANSPORT_PIPELINE_SUBWAVES`] sub-waves, each encoded and sent while
-/// up to [`TRANSPORT_PIPELINE_DEPTH`] earlier ones are still being
-/// collected. Panics if any reply times out.
-pub fn pipelined_round(server: &mut WaveServer, batch: &[(Query, Vec<ProviderId>)]) {
-    let chunk = batch.len().div_ceil(TRANSPORT_PIPELINE_SUBWAVES).max(1);
-    for sub in batch.chunks(chunk) {
-        while server.waves_in_flight() >= TRANSPORT_PIPELINE_DEPTH {
-            server.collect_wave().expect("a wave is in flight");
-            assert_eq!(server.last_round().timed_out, 0);
-        }
-        server.begin_wave(sub);
-    }
-    while server.collect_wave().is_some() {
-        assert_eq!(server.last_round().timed_out, 0);
-    }
-}
-
 /// Times one socket-transport wave round at `providers` provider
 /// endpoints over a [`transport_topology`] with the
 /// [`full_coverage_batch`]: the best and median of `runs` single-wave
-/// rounds, plus the best-of-`runs` [`pipelined_round`].
+/// rounds.
 pub fn measure_transport_round(providers: u32, runs: usize) -> TransportMeasurement {
     let (mut server, hosts) = transport_topology(providers);
     let batch = full_coverage_batch(providers);
@@ -285,14 +257,6 @@ pub fn measure_transport_round(providers: u32, runs: usize) -> TransportMeasurem
     let best = rounds[0];
     let median = rounds[rounds.len() / 2];
 
-    pipelined_round(&mut server, &batch); // warmup of the pipelined drive
-    let mut pipelined_best = Duration::MAX;
-    for _ in 0..runs.max(1) {
-        let started = Instant::now();
-        pipelined_round(&mut server, &batch);
-        pipelined_best = pipelined_best.min(started.elapsed());
-    }
-
     server.shutdown();
     for host in hosts {
         host.join().expect("host thread").expect("host io");
@@ -302,7 +266,6 @@ pub fn measure_transport_round(providers: u32, runs: usize) -> TransportMeasurem
         hosts: TRANSPORT_HOSTS as usize,
         round_ms: best.as_secs_f64() * 1e3,
         median_ms: median.as_secs_f64() * 1e3,
-        pipelined_ms: pipelined_best.as_secs_f64() * 1e3,
     }
 }
 

@@ -18,7 +18,8 @@
 //!   replayable schedule string, and a [`explore::Budget`] bounds CI
 //!   runs honestly (truncation is reported, never silent);
 //! * [`model`] — the wave-protocol world: one mediator, two hosts,
-//!   three endpoints, pipeline depth 2, with bounded-capacity byte
+//!   three endpoints, one wave in flight at a time (as the server runs
+//!   it), with bounded-capacity byte
 //!   wires, chunked delivery, deadline racing, host crashes and
 //!   adversarial (duplicate / foreign-slot / stale-wave) replies as
 //!   explicit actions, and the protocol invariants checked on every

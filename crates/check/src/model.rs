@@ -4,25 +4,26 @@
 //! mediator-side [`WaveLedger`]/[`route_reply_frame`] seam, the
 //! participant-side [`WaveRequestBuffer`], and the
 //! [`FrameAssembler`]/codec from `sqlb-mediation` — into a miniature
-//! deployment (one mediator, two hosts, three endpoints, pipeline
-//! depth 2) whose only scheduler is the explorer: every message
-//! delivery, chunk split, deadline firing, host crash and adversarial
-//! injection is an explicit [`Model`] action. Nothing protocol-level is
-//! re-implemented here; the model supplies sockets-and-clock
-//! *plumbing* (byte wires with bounded capacity, a virtual deadline)
-//! around the exact code the real [`sqlb_transport::WaveServer`] runs.
+//! deployment (one mediator, two hosts, three endpoints, one wave in
+//! flight at a time, as the server runs it) whose only scheduler is the
+//! explorer: every message delivery, chunk split, deadline firing, host
+//! crash and adversarial injection is an explicit [`Model`] action.
+//! Nothing protocol-level is re-implemented here; the model supplies
+//! sockets-and-clock *plumbing* (byte wires with bounded capacity, a
+//! virtual deadline) around the exact code the real
+//! [`sqlb_transport::WaveServer`] runs.
 //!
 //! Checked invariants:
 //!
 //! * **termination** — every planned wave ends as either complete or
 //!   timeout-to-indifference ([`WaveWorld::finish`]);
-//! * **credit accounting** — on every step, each in-flight ledger's
+//! * **credit accounting** — on every step, the in-flight ledger's
 //!   stored replies equal `delivered - pending` (over- or
 //!   under-crediting, including the test-only sign-flipped credit,
 //!   trips this immediately);
 //! * **cross-wave correlation** — every stored reply value matches the
-//!   deterministic per-wave oracle formula, so a wave-*t* reply
-//!   credited to wave *t+1* is caught by value, not just by count;
+//!   deterministic per-wave oracle formula, so a straggling wave-*t*
+//!   reply credited to wave *t+1* is caught by value, not just by count;
 //! * **no deadlock** — the explorer fails any state with obligations
 //!   outstanding and no enabled action (the write-stall/drain
 //!   liveness argument, made checkable by bounding wire capacity);
@@ -30,7 +31,7 @@
 //!   any split of the honestly-produced byte streams.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 use sqlb_mediation::{
@@ -55,10 +56,8 @@ const HOSTS: usize = 2;
 pub struct Scenario {
     /// Scenario name (prefixes replayable schedules).
     pub name: &'static str,
-    /// Waves the mediator runs.
+    /// Waves the mediator runs, one at a time.
     pub waves: u64,
-    /// Pipeline depth: waves in flight at once.
-    pub depth: usize,
     /// Crashes each host may suffer per trace (0 disables crash
     /// nondeterminism).
     pub crashes_per_host: usize,
@@ -68,7 +67,7 @@ pub struct Scenario {
     /// When set, the host-1 provider never answers: every wave must
     /// terminate through the deadline.
     pub silent_provider: bool,
-    /// Early deadline firings allowed per trace: each lets the front
+    /// Early deadline firings allowed per trace: each lets the
     /// wave's deadline race ahead of replies still in transit. The
     /// deadline additionally *always* fires for a wave that can no
     /// longer complete (pending requests charged to a dead connection),
@@ -92,16 +91,15 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The exhaustively-explored core configuration: three waves under
-    /// depth-2 pipelining, whole-chunk delivery, no faults — the full
-    /// interleaving space of fan-out, replies, completion and deadline
-    /// racing (over half a million distinct executions, closed out in
-    /// seconds in release builds).
+    /// The exhaustively-explored core configuration: three waves,
+    /// whole-chunk delivery, no faults — the full interleaving space of
+    /// fan-out, replies, completion, deadline racing and stragglers of
+    /// a timed-out wave (12 000 executions, closed out in well under a
+    /// second in release builds).
     pub fn mini() -> Scenario {
         Scenario {
             name: "mini",
             waves: 3,
-            depth: 2,
             crashes_per_host: 0,
             byzantine: false,
             silent_provider: false,
@@ -118,7 +116,6 @@ impl Scenario {
         Scenario {
             name: "chunky",
             waves: 1,
-            depth: 1,
             crashes_per_host: 0,
             byzantine: false,
             silent_provider: false,
@@ -134,7 +131,6 @@ impl Scenario {
         Scenario {
             name: "crashy",
             waves: 2,
-            depth: 2,
             crashes_per_host: 1,
             byzantine: false,
             silent_provider: false,
@@ -150,7 +146,6 @@ impl Scenario {
         Scenario {
             name: "byzantine",
             waves: 2,
-            depth: 2,
             crashes_per_host: 0,
             byzantine: true,
             silent_provider: false,
@@ -163,13 +158,12 @@ impl Scenario {
 
     /// Tiny wire capacity: the fan-out of a wave cannot be written in
     /// one burst, so progress depends on the server draining replies
-    /// while its own writes are stalled — the drain-path liveness
-    /// scenario.
+    /// (stragglers of a timed-out wave among them) while its own writes
+    /// are stalled — the drain-path liveness scenario.
     pub fn stall() -> Scenario {
         Scenario {
             name: "stall",
             waves: 2,
-            depth: 2,
             crashes_per_host: 0,
             byzantine: false,
             silent_provider: false,
@@ -186,7 +180,6 @@ impl Scenario {
         Scenario {
             name: "silent",
             waves: 2,
-            depth: 2,
             crashes_per_host: 0,
             byzantine: false,
             silent_provider: true,
@@ -308,9 +301,9 @@ impl SlotState {
 enum Action {
     /// The mediator plans and queues the next wave's fan-out.
     BeginWave,
-    /// The mediator collects the (complete) front wave.
+    /// The mediator collects the (complete) wave in flight.
     FinishWave,
-    /// The front wave's deadline fires; missing replies degrade to
+    /// The wave in flight's deadline fires; missing replies degrade to
     /// indifference.
     TimeoutWave,
     /// The host takes a chunk of `1` bytes off its wire and processes
@@ -325,7 +318,7 @@ enum Action {
     /// Host `0` re-sends its last reply frame verbatim.
     InjectDup(usize),
     /// Host `0` fabricates a reply for an endpoint homed on the *other*
-    /// host, for the front in-flight wave.
+    /// host, for the wave in flight.
     InjectForeign(usize),
     /// Host `0` fabricates a reply for an already-collected wave.
     InjectStale(usize),
@@ -339,8 +332,8 @@ pub struct WaveWorld {
     next_wave: u64,
     /// Waves begun so far.
     waves_begun: u64,
-    /// In-flight ledgers, oldest first — exactly the server's queue.
-    in_flight: VecDeque<WaveLedger>,
+    /// The ledger of the wave in flight, if any — the server's one.
+    in_flight: Option<WaveLedger>,
     /// Terminated waves, in collection order.
     outcomes: Vec<WaveOutcome>,
     slots: Vec<SlotState>,
@@ -410,7 +403,7 @@ impl WaveWorld {
             scenario,
             next_wave: 1,
             waves_begun: 0,
-            in_flight: VecDeque::new(),
+            in_flight: None,
             outcomes: Vec::new(),
             slots: (0..HOSTS).map(|_| SlotState::new(crashes)).collect(),
             timeouts_left: timeouts,
@@ -433,15 +426,14 @@ impl WaveWorld {
     /// The deterministic action menu of the current state.
     fn actions(&self) -> Vec<Action> {
         let mut actions = Vec::new();
-        if self.waves_begun < self.scenario.waves && self.in_flight.len() < self.scenario.depth {
-            actions.push(Action::BeginWave);
-        }
-        if let Some(front) = self.in_flight.front() {
-            if front.is_complete() {
+        if let Some(wave) = &self.in_flight {
+            if wave.is_complete() {
                 actions.push(Action::FinishWave);
-            } else if self.timeouts_left > 0 || self.front_stuck() {
+            } else if self.timeouts_left > 0 || self.stuck() {
                 actions.push(Action::TimeoutWave);
             }
+        } else if self.waves_begun < self.scenario.waves {
+            actions.push(Action::BeginWave);
         }
         for (s, slot) in self.slots.iter().enumerate() {
             if slot.host_alive && !slot.down_wire.is_empty() {
@@ -461,7 +453,7 @@ impl WaveWorld {
                 if self.dups_left > 0 && !slot.last_reply_frame.is_empty() {
                     actions.push(Action::InjectDup(s));
                 }
-                if self.foreigns_left > 0 && !self.in_flight.is_empty() {
+                if self.foreigns_left > 0 && self.in_flight.is_some() {
                     actions.push(Action::InjectForeign(s));
                 }
                 if self.stales_left > 0 && !self.outcomes.is_empty() {
@@ -472,17 +464,17 @@ impl WaveWorld {
         actions
     }
 
-    /// Whether the front wave can no longer complete on its own: some
+    /// Whether the wave in flight can no longer complete on its own: some
     /// of its requests are charged to a connection that is gone, or to
     /// an endpoint configured to stay silent, so only the deadline can
     /// terminate it. The deadline action stays enabled for stuck waves
     /// even after the early-timeout budget is spent.
-    fn front_stuck(&self) -> bool {
-        let Some(front) = self.in_flight.front() else {
+    fn stuck(&self) -> bool {
+        let Some(wave) = &self.in_flight else {
             return false;
         };
-        (0..HOSTS).any(|s| front.pending_on(s) > 0 && !self.slots[s].live)
-            || (self.scenario.silent_provider && front.pending_on(1) > 0)
+        (0..HOSTS).any(|s| wave.pending_on(s) > 0 && !self.slots[s].live)
+            || (self.scenario.silent_provider && wave.pending_on(1) > 0)
     }
 
     /// The distinct effective receive chunk sizes for a wire holding
@@ -505,12 +497,12 @@ impl WaveWorld {
         sizes
     }
 
-    /// Asserts the shared ledger seam's accounting identity on every
-    /// in-flight wave: stored replies must equal delivered minus
+    /// Asserts the shared ledger seam's accounting identity on the wave
+    /// in flight: stored replies must equal delivered minus
     /// pending. The test-only sign-flipped credit breaks this identity
     /// on its first application.
     fn check_ledger_accounting(&self) -> Result<(), Violation> {
-        for ledger in &self.in_flight {
+        if let Some(ledger) = &self.in_flight {
             let delivered = ledger.delivered() as i64;
             let pending = ledger.pending_total() as i64;
             let stored = ledger.stored_replies() as i64;
@@ -570,7 +562,7 @@ impl WaveWorld {
         Ok(())
     }
 
-    fn begin_wave(&mut self) {
+    fn start_wave(&mut self) {
         let wave = self.next_wave;
         let requests = wave_requests(wave);
         let (consumer_home, provider_home) = homes();
@@ -591,18 +583,18 @@ impl WaveWorld {
             slot.send_queue.extend_from_slice(&bytes);
             slot.flush_down(capacity);
         }
-        self.in_flight.push_back(ledger);
+        self.in_flight = Some(ledger);
         self.next_wave += 1;
         self.waves_begun += 1;
     }
 
-    /// Collects the front wave (complete or timed out) and records its
-    /// outcome, verifying accounting and oracle values.
-    fn collect_front(&mut self, complete: bool) -> Result<(), Violation> {
+    /// Collects the wave in flight (complete or timed out) and records
+    /// its outcome, verifying accounting and oracle values.
+    fn collect(&mut self, complete: bool) -> Result<(), Violation> {
         let ledger = self
             .in_flight
-            .pop_front()
-            .expect("collect_front requires an in-flight wave");
+            .take()
+            .expect("collect requires a wave in flight");
         let wave = ledger.wave();
         let delivered = ledger.delivered();
         let pending = ledger.pending_total();
@@ -742,7 +734,7 @@ impl WaveWorld {
                 Ok(Some(frame)) => frame,
             };
             let applied =
-                route_reply_frame(frame, self.in_flight.iter_mut(), s).map_err(|e| Violation {
+                route_reply_frame(frame, self.in_flight.as_mut(), s).map_err(|e| Violation {
                     invariant: "frame-consistency",
                     detail: format!("reply frame from slot {s} failed to route: {e}"),
                 })?;
@@ -779,17 +771,17 @@ impl WaveWorld {
     fn apply(&mut self, action: Action) -> Result<(), Violation> {
         match action {
             Action::BeginWave => {
-                self.begin_wave();
+                self.start_wave();
                 Ok(())
             }
-            Action::FinishWave => self.collect_front(true),
+            Action::FinishWave => self.collect(true),
             Action::TimeoutWave => {
                 // A stuck wave's deadline is forced, not an early race:
                 // it does not spend the early-timeout budget.
-                if !self.front_stuck() {
+                if !self.stuck() {
                     self.timeouts_left = self.timeouts_left.saturating_sub(1);
                 }
-                self.collect_front(false)
+                self.collect(false)
             }
             Action::DeliverDown(s, n) => {
                 let capacity = self.scenario.wire_capacity;
@@ -841,7 +833,7 @@ impl WaveWorld {
             }
             Action::InjectForeign(s) => {
                 self.foreigns_left -= 1;
-                let wave = self.in_flight.front().expect("enabled checked").wave();
+                let wave = self.in_flight.as_ref().expect("enabled checked").wave();
                 // A reply for the *other* host's provider: charged to
                 // the other slot, so it must be rejected as foreign.
                 self.inject_reply(s, wave, own_provider(1 - s));
@@ -866,15 +858,11 @@ impl Model for WaveWorld {
         match self.actions()[action] {
             Action::BeginWave => format!("begin(w{})", self.next_wave),
             Action::FinishWave => {
-                format!("finish(w{})", self.in_flight.front().unwrap().wave())
+                format!("finish(w{})", self.in_flight.as_ref().unwrap().wave())
             }
             Action::TimeoutWave => {
-                let front = self.in_flight.front().unwrap();
-                format!(
-                    "timeout(w{},pending={})",
-                    front.wave(),
-                    front.pending_total()
-                )
+                let wave = self.in_flight.as_ref().unwrap();
+                format!("timeout(w{},pending={})", wave.wave(), wave.pending_total())
             }
             Action::DeliverDown(s, n) => {
                 format!("recv_host(h{s},{n}B@{})", self.slots[s].fed_down)
@@ -886,7 +874,7 @@ impl Model for WaveWorld {
             }
             Action::InjectDup(s) => format!("dup(h{s})"),
             Action::InjectForeign(s) => {
-                format!("foreign(h{s},w{})", self.in_flight.front().unwrap().wave())
+                format!("foreign(h{s},w{})", self.in_flight.as_ref().unwrap().wave())
             }
             Action::InjectStale(s) => {
                 format!("stale(h{s},w{})", self.outcomes.last().unwrap().wave)
@@ -901,7 +889,7 @@ impl Model for WaveWorld {
 
     fn obligations(&self) -> usize {
         (self.scenario.waves - self.waves_begun) as usize
-            + self.in_flight.len()
+            + usize::from(self.in_flight.is_some())
             + self
                 .slots
                 .iter()
@@ -958,7 +946,7 @@ impl Model for WaveWorld {
             )
                 .hash(&mut hasher);
         }
-        for ledger in &self.in_flight {
+        if let Some(ledger) = &self.in_flight {
             (ledger.wave(), ledger.delivered(), ledger.stored_replies()).hash(&mut hasher);
             for s in 0..HOSTS {
                 ledger.pending_on(s).hash(&mut hasher);

@@ -1,9 +1,11 @@
 //! Bounded systematic exploration of every scenario — the same sweep CI
 //! runs via the `sqlb_check` binary, sized so the debug-build test suite
-//! stays fast. The full (unbounded) exploration of the fault scenarios
-//! runs in CI as a release binary under `SQLB_CHECK_FULL=1`.
+//! stays fast. The exhaustive scenarios (`mini`, `crashy`, `silent`) are
+//! explored to the end here and their exact execution and transition
+//! counts pinned: the model is deterministic, so any change to the
+//! protocol state machines or the model's action menu moves them.
 
-use sqlb_check::{explore, replay, Budget, Model, Scenario, Schedule, WaveWorld};
+use sqlb_check::{explore, replay, Budget, Model, Report, Scenario, Schedule, WaveWorld};
 
 /// Per-scenario execution budget for the debug-build test sweep.
 const TEST_BUDGET: usize = 3_000;
@@ -26,37 +28,44 @@ fn every_scenario_holds_under_bounded_exploration() {
     }
 }
 
+/// Explores an exhaustive-tier scenario to the end and checks it is
+/// clean and was not cut short.
+fn explore_exhaustively(scenario: Scenario) -> Report {
+    assert!(
+        scenario.exhaustive,
+        "{} is a bounded scenario",
+        scenario.name
+    );
+    let name = scenario.name;
+    let report = explore(&WaveWorld::new(scenario), &Budget::UNBOUNDED);
+    assert!(
+        report.failure.is_none(),
+        "{name}: {}",
+        report.failure.unwrap()
+    );
+    assert!(!report.truncated, "{name} should be fully explorable");
+    report
+}
+
 #[test]
 fn mini_space_exceeds_ten_thousand_interleavings() {
-    // The acceptance bar: the miniature configuration must expose at
-    // least 10^4 distinct interleavings, all invariant-clean. The
-    // budget sits above the bar, so reaching it proves the space is at
-    // least that large; the full count (575k+, exhaustive) is verified
-    // by the CI release run.
-    let report = explore(
-        &WaveWorld::new(Scenario::mini()),
-        &Budget::executions(12_000),
-    );
-    assert!(report.failure.is_none(), "{}", report.failure.unwrap());
-    assert!(
-        report.executions >= 10_000,
-        "mini exposed only {} interleavings",
-        report.executions
-    );
+    // The acceptance bar is 10^4 distinct interleavings, all
+    // invariant-clean; the exhaustive space is pinned exactly.
+    let report = explore_exhaustively(Scenario::mini());
+    assert_eq!(report.executions, 12_000);
+    assert_eq!(report.transitions, 52_919);
 }
 
 #[test]
 fn crashy_exercises_multiple_crash_points_per_host() {
-    let report = explore(
-        &WaveWorld::new(Scenario::crashy()),
-        &Budget::executions(TEST_BUDGET),
-    );
-    assert!(report.failure.is_none(), "{}", report.failure.unwrap());
+    let report = explore_exhaustively(Scenario::crashy());
+    assert_eq!(report.executions, 27_096);
+    assert_eq!(report.transitions, 70_599);
     for host in ["crash(h0", "crash(h1"] {
-        let points = report.distinct_actions_with_prefix(host);
-        assert!(
-            points >= 2,
-            "{host}...) hit only {points} distinct crash points"
+        assert_eq!(
+            report.distinct_actions_with_prefix(host),
+            6,
+            "distinct {host}...) crash points"
         );
     }
 }
@@ -81,13 +90,10 @@ fn byzantine_exercises_duplicate_foreign_and_stale_replies() {
 
 #[test]
 fn silent_scenario_is_exhaustively_clean() {
-    // The silent-provider space is small enough to close out even in
-    // debug builds: every interleaving ends in timeout-to-indifference,
-    // never a hang.
-    let report = explore(&WaveWorld::new(Scenario::silent()), &Budget::UNBOUNDED);
-    assert!(report.failure.is_none(), "{}", report.failure.unwrap());
-    assert!(!report.truncated, "silent should be fully explorable");
-    assert!(report.executions > 0);
+    // Every interleaving ends in timeout-to-indifference, never a hang.
+    let report = explore_exhaustively(Scenario::silent());
+    assert_eq!(report.executions, 472);
+    assert_eq!(report.transitions, 1_417);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates a *mono-mediator* system, but its model explicitly
 //! allows several mediators (Section 2). [`Mediator`] packages what one
-//! mediation point owns — an identity, an allocation method instance, and
+//! mediation point owns — an allocation method instance and
 //! the intention-based satisfaction bookkeeping ([`MediatorState`]) that
 //! Equation 6 needs — behind one interface, so upper layers (the
 //! simulator's shard router) can run one or many without caring which.
@@ -16,7 +16,7 @@
 //! router keeps them on one sync board), and blends it with the local one
 //! ([`MediatorState::blended_consumer_satisfaction`]).
 
-use sqlb_types::{ConsumerId, MediatorId, ProviderId, Query};
+use sqlb_types::{ConsumerId, ProviderId, Query};
 
 use crate::allocation::{Allocation, AllocationMethod, CandidateInfo, MediatorView};
 use crate::mediator_state::{MediatorState, MediatorStateConfig};
@@ -24,7 +24,6 @@ use crate::mediator_state::{MediatorState, MediatorStateConfig};
 /// One mediation point: an allocation method plus the mediator-side
 /// satisfaction state it scores with.
 pub struct Mediator {
-    id: MediatorId,
     method: Box<dyn AllocationMethod>,
     state: MediatorState,
 }
@@ -55,12 +54,8 @@ impl MediatorView for BlendedView<'_> {
 
 impl Mediator {
     /// Creates a mediator with the given method and tracker configuration.
-    pub fn new(
-        id: MediatorId,
-        method: Box<dyn AllocationMethod>,
-        config: MediatorStateConfig,
-    ) -> Self {
-        Mediator::with_slot_stride(id, method, config, 0, 1)
+    pub fn new(method: Box<dyn AllocationMethod>, config: MediatorStateConfig) -> Self {
+        Mediator::with_slot_stride(method, config, 0, 1)
     }
 
     /// Creates a mediator whose satisfaction tables are compacted for the
@@ -70,14 +65,12 @@ impl Mediator {
     /// `O(P / K)` state instead of growing dense tables over the whole id
     /// space.
     pub fn with_slot_stride(
-        id: MediatorId,
         method: Box<dyn AllocationMethod>,
         config: MediatorStateConfig,
         offset: usize,
         stride: usize,
     ) -> Self {
         Mediator {
-            id,
             method,
             state: MediatorState::with_slot_stride(config, offset, stride),
         }
@@ -131,7 +124,6 @@ impl Mediator {
 impl std::fmt::Debug for Mediator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Mediator")
-            .field("id", &self.id)
             .field("method", &self.method.name())
             .field("allocations", &self.state.allocations())
             .finish()
@@ -144,9 +136,8 @@ mod tests {
     use crate::sqlb::SqlbAllocator;
     use sqlb_types::{ProviderId, QueryClass, QueryId, SimTime};
 
-    fn mediator(raw: u32) -> Mediator {
+    fn mediator() -> Mediator {
         Mediator::new(
-            MediatorId::new(raw),
             Box::new(SqlbAllocator::new()),
             MediatorStateConfig::default(),
         )
@@ -174,7 +165,7 @@ mod tests {
 
     #[test]
     fn allocate_records_into_state() {
-        let mut m = mediator(0);
+        let mut m = mediator();
         let q = query(1, 0);
         let allocation = m.allocate(&q, &candidates(&[(0, 0.9, 0.9), (1, -0.9, -0.9)]), None);
         assert_eq!(allocation.selected, vec![ProviderId::new(0)]);
@@ -186,7 +177,7 @@ mod tests {
         // Provider 1 never answered, so its intention was read as 0. Both
         // candidates fall in the negative-intention branch, but p1's
         // magnitude is smaller, so it still ranks first.
-        let mut m = mediator(0);
+        let mut m = mediator();
         let allocation = m.allocate(
             &query(2, 0),
             &candidates(&[(0, 0.9, -0.9), (1, 0.9, 0.0)]),
@@ -201,7 +192,7 @@ mod tests {
         // between them: the first allocation goes to p0 (deterministic
         // tie-break), after which Equation 6 favours the less satisfied
         // provider, so queries alternate instead of starving p1.
-        let mut m = mediator(0);
+        let mut m = mediator();
         let infos = candidates(&[(0, 0.5, 0.7), (1, 0.5, 0.7)]);
         let first = m.allocate(&query(0, 0), &infos, None);
         assert_eq!(first.selected, vec![ProviderId::new(0)]);
@@ -219,8 +210,8 @@ mod tests {
 
     #[test]
     fn provider_history_survives_export_absorb_round_trip() {
-        let mut donor = mediator(0);
-        let mut receiver = mediator(1);
+        let mut donor = mediator();
+        let mut receiver = mediator();
         let provider = ProviderId::new(0);
         for i in 0..25 {
             donor.allocate(&query(i, 2), &candidates(&[(0, 0.6, 0.8)]), None);

@@ -212,22 +212,6 @@ impl MediatorState {
         self.allocations += 1;
     }
 
-    /// Intention-based allocation satisfaction `δas(c)` of a consumer.
-    pub fn consumer_allocation_satisfaction(&self, consumer: ConsumerId) -> f64 {
-        self.consumers
-            .get(consumer)
-            .map(|t| t.allocation_satisfaction())
-            .unwrap_or(1.0)
-    }
-
-    /// Intention-based allocation satisfaction `δas(p)` of a provider.
-    pub fn provider_allocation_satisfaction(&self, provider: ProviderId) -> f64 {
-        self.providers
-            .get(provider)
-            .map(|t| t.allocation_satisfaction())
-            .unwrap_or(1.0)
-    }
-
     /// Direct access to a consumer's tracker, if registered.
     pub fn consumer_tracker(&self, consumer: ConsumerId) -> Option<&ConsumerTracker> {
         self.consumers.get(consumer)
@@ -387,14 +371,8 @@ mod tests {
         let state = MediatorState::paper_default();
         assert_eq!(state.consumer_satisfaction(ConsumerId::new(7)), 0.5);
         assert_eq!(state.provider_satisfaction(ProviderId::new(7)), 0.5);
-        assert_eq!(
-            state.consumer_allocation_satisfaction(ConsumerId::new(7)),
-            1.0
-        );
-        assert_eq!(
-            state.provider_allocation_satisfaction(ProviderId::new(7)),
-            1.0
-        );
+        assert!(state.consumer_tracker(ConsumerId::new(7)).is_none());
+        assert!(state.provider_tracker(ProviderId::new(7)).is_none());
         assert_eq!(state.allocations(), 0);
     }
 
@@ -411,7 +389,8 @@ mod tests {
         // adequation.
         let consumer_adequation = state.consumer_tracker(q.consumer).unwrap().adequation();
         assert!(state.consumer_satisfaction(q.consumer) > consumer_adequation);
-        assert!(state.consumer_allocation_satisfaction(q.consumer) > 1.0);
+        let consumer = state.consumer_tracker(q.consumer).unwrap();
+        assert!(consumer.allocation_satisfaction() > 1.0);
         // Selected provider's satisfaction reflects its positive intention.
         assert!(state.provider_satisfaction(ProviderId::new(0)) > 0.9);
         // Non-selected provider performed nothing yet, so its smoothed

@@ -861,7 +861,7 @@ pub fn run_wave_threaded(wave: IntentionWave<'_>, timeout: Duration) -> WaveRepl
 /// ```
 /// use sqlb_core::{mediator_state::MediatorStateConfig, Mediator, SqlbAllocator};
 /// use sqlb_mediation::{AsyncMediator, ConsumerEndpoint, ProviderEndpoint, RuntimeConfig};
-/// use sqlb_types::{ConsumerId, MediatorId, ProviderId, Query, QueryClass, QueryId, SimTime};
+/// use sqlb_types::{ConsumerId, ProviderId, Query, QueryClass, QueryId, SimTime};
 ///
 /// struct Eager(f64);
 /// impl ConsumerEndpoint for Eager {
@@ -888,7 +888,6 @@ pub fn run_wave_threaded(wave: IntentionWave<'_>, timeout: Duration) -> WaveRepl
 /// assert_eq!(infos[0][0].consumer_intention, 0.5);
 ///
 /// let mut sqlb = Mediator::new(
-///     MediatorId::new(0),
 ///     Box::new(SqlbAllocator::new()),
 ///     MediatorStateConfig::default(),
 /// );
@@ -1069,7 +1068,7 @@ mod tests {
     use super::*;
     use sqlb_core::mediator_state::MediatorStateConfig;
     use sqlb_core::{Mediator, SqlbAllocator};
-    use sqlb_types::{MediatorId, QueryClass, SimTime};
+    use sqlb_types::{QueryClass, SimTime};
 
     struct CannedConsumer {
         values: Vec<f64>,
@@ -1366,7 +1365,6 @@ mod tests {
         let batch: Vec<(Query, Vec<ProviderId>)> =
             (0..3).map(|i| (query(i), candidates.clone())).collect();
         let mut sqlb = Mediator::new(
-            MediatorId::new(0),
             Box::new(SqlbAllocator::new()),
             MediatorStateConfig::default(),
         );

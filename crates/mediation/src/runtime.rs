@@ -121,7 +121,7 @@ mod tests {
     use sqlb_baselines::MariposaLike;
     use sqlb_core::mediator_state::MediatorStateConfig;
     use sqlb_core::{Allocation, AllocationMethod, Mediator, MediatorView, SqlbAllocator};
-    use sqlb_types::{ConsumerId, MediatorId, QueryClass, SimTime};
+    use sqlb_types::{ConsumerId, QueryClass, SimTime};
     use std::sync::{Arc, Mutex};
 
     /// What the endpoints were told after mediation, shared with the test
@@ -207,11 +207,7 @@ mod tests {
     }
 
     fn core_mediator(method: impl AllocationMethod + 'static) -> Mediator {
-        Mediator::new(
-            MediatorId::new(0),
-            Box::new(method),
-            MediatorStateConfig::default(),
-        )
+        Mediator::new(Box::new(method), MediatorStateConfig::default())
     }
 
     /// One round of Algorithm 1 over a batch: one gather wave, then per

@@ -11,14 +11,9 @@
 //! manner that participants work out their intentions" (Section 3.3).
 //!
 //! This crate provides the minimal substrate needed for that role:
-//!
-//! * [`ReputationStore`] — a per-provider reputation value maintained from
-//!   consumer feedback with an exponential update rule and optional decay
-//!   towards a prior;
-//! * [`ExperienceTracker`] — counts a consumer's past interactions with
-//!   each provider, so consumers can derive a per-provider `υ` value
-//!   ("if a consumer has enough experiences with a given provider p, it
-//!   sets υ > 0.5, or else it sets υ < 0.5", Section 5.1).
+//! [`ReputationStore`], a per-provider reputation value maintained from
+//! consumer feedback with an exponential update rule and optional decay
+//! towards a prior.
 
 #![warn(missing_docs)]
 
@@ -112,46 +107,6 @@ impl Default for ReputationStore {
     }
 }
 
-/// Tracks how much first-hand experience a consumer has with each provider
-/// and derives the preference/reputation balance `υ` of Definition 7.
-#[derive(Debug, Clone, Default)]
-pub struct ExperienceTracker {
-    interactions: BTreeMap<ProviderId, u64>,
-    /// Number of interactions after which the consumer fully trusts its own
-    /// preferences (`υ = 1`).
-    saturation: u64,
-}
-
-impl ExperienceTracker {
-    /// Creates a tracker that saturates (full confidence in own
-    /// preferences) after `saturation` interactions with a provider.
-    pub fn new(saturation: u64) -> Self {
-        ExperienceTracker {
-            interactions: BTreeMap::new(),
-            saturation: saturation.max(1),
-        }
-    }
-
-    /// Records one interaction with a provider.
-    pub fn record_interaction(&mut self, provider: ProviderId) {
-        *self.interactions.entry(provider).or_insert(0) += 1;
-    }
-
-    /// Number of recorded interactions with a provider.
-    pub fn interactions_with(&self, provider: ProviderId) -> u64 {
-        *self.interactions.get(&provider).unwrap_or(&0)
-    }
-
-    /// The preference/reputation balance `υ ∈ [0, 1]` for a provider:
-    /// `0.5` is reached at half the saturation count, `1` at saturation.
-    /// With no experience the consumer relies entirely on reputation
-    /// (`υ = 0`).
-    pub fn upsilon(&self, provider: ProviderId) -> f64 {
-        let n = self.interactions_with(provider) as f64;
-        (n / self.saturation as f64).min(1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,28 +163,6 @@ mod tests {
         assert!((store.reputation(p).value() - 0.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn experience_tracker_upsilon_ramps_to_one() {
-        let mut t = ExperienceTracker::new(4);
-        let p = ProviderId::new(0);
-        assert_eq!(t.upsilon(p), 0.0);
-        t.record_interaction(p);
-        assert!((t.upsilon(p) - 0.25).abs() < 1e-12);
-        for _ in 0..10 {
-            t.record_interaction(p);
-        }
-        assert_eq!(t.upsilon(p), 1.0);
-        assert_eq!(t.interactions_with(p), 11);
-    }
-
-    #[test]
-    fn experience_tracker_saturation_is_at_least_one() {
-        let mut t = ExperienceTracker::new(0);
-        let p = ProviderId::new(1);
-        t.record_interaction(p);
-        assert_eq!(t.upsilon(p), 1.0);
-    }
-
     proptest! {
         #[test]
         fn prop_reputation_stays_in_range(
@@ -244,17 +177,6 @@ mod tests {
             }
             let r = store.reputation(p).value();
             prop_assert!((-1.0..=1.0).contains(&r));
-        }
-
-        #[test]
-        fn prop_upsilon_in_unit_interval(n in 0u64..1000, saturation in 1u64..100) {
-            let mut t = ExperienceTracker::new(saturation);
-            let p = ProviderId::new(0);
-            for _ in 0..n {
-                t.record_interaction(p);
-            }
-            let u = t.upsilon(p);
-            prop_assert!((0.0..=1.0).contains(&u));
         }
     }
 }

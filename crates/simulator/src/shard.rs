@@ -27,7 +27,7 @@ use sqlb_core::mediator_state::{MediatorStateConfig, ProviderTracker};
 use sqlb_core::{Allocation, CandidateInfo, Mediator};
 use sqlb_obs::{Counter, Obs};
 use sqlb_types::ProviderId;
-use sqlb_types::{ConsumerId, MediatorId, ParticipantTable, Query, StableId};
+use sqlb_types::{ConsumerId, ParticipantTable, Query, StableId};
 
 use crate::config::Method;
 
@@ -167,19 +167,6 @@ pub fn shard_seed(seed: u64, shard: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Smallest participant-id space (max raw id) for which per-shard state
-/// uses residue-class compaction ([`StridedTable`]-backed, `O(P/K)` per
-/// shard). Below this, every shard keeps identity-mapped dense tables:
-/// `K` full-width tables over a sub-64Ki id space cost at most a few
-/// megabytes, while the compacted mapping costs a subtract, mask, and
-/// shift on every access of the allocation hot path (~5% of K=8
-/// allocation throughput at bench scale). At or above it — the 10⁵/10⁶
-/// scale configurations — the memory blow-up dominates and compaction
-/// wins. Allocations are bit-identical under both layouts.
-///
-/// [`StridedTable`]: sqlb_types::StridedTable
-pub const STRIDED_STATE_MIN_IDS: usize = 1 << 16;
-
 /// One provider re-assignment performed by [`ShardRouter::migrate_provider`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Migration {
@@ -208,28 +195,18 @@ impl ShardRouter {
             .into_iter()
             .map(|p| (p, p.slot() % shard_count))
             .collect();
-        // Residue-class compaction trades O(K × P) mostly-empty dense
-        // slots for a sub+mask+shift on every table access — a clear win
-        // at 10⁵–10⁶ participants, pure per-access overhead when the id
-        // space is small enough that even K full-width tables are a few
-        // hundred kilobytes. Pick the layout from the id space: the
-        // storage is keyed by global id and iterated in ascending global
-        // order either way, so allocations are bit-identical under both.
-        let max_slot = assignment.keys().map(StableId::slot).max().unwrap_or(0);
-        let compact = max_slot >= STRIDED_STATE_MIN_IDS;
         let shards = (0..shard_count)
             .map(|i| {
                 // Shard `i` owns providers (and serves consumers) with
                 // `id ≡ i (mod K)`, so its satisfaction tables are
                 // stride-compacted to that residue class: per-shard state
-                // stays O(P/K) no matter how many shards exist.
-                let (offset, stride) = if compact { (i, shard_count) } else { (0, 1) };
+                // stays O(P/K) no matter how many shards exist. At K = 1
+                // the class is (0, 1), the identity mapping.
                 Mediator::with_slot_stride(
-                    MediatorId::new(i as u32),
                     method.build(shard_seed(seed, i)),
                     state_config,
-                    offset,
-                    stride,
+                    i,
+                    shard_count,
                 )
             })
             .collect();

@@ -6,17 +6,15 @@
 //!
 //! ```text
 //! wave_server_demo [--hosts N] [--consumers N] [--providers N]
-//!                  [--waves N] [--spawn] [--uds] [--pipeline] [--stats]
+//!                  [--waves N] [--spawn] [--uds] [--stats]
 //! ```
 //!
 //! With `--spawn` the participant hosts run as separate OS processes
 //! (the sibling `participant_host` binary); otherwise they run as
 //! in-process threads on the library. `--uds` moves host 0 onto a
 //! Unix-domain socket so both transports are exercised in one run.
-//! `--pipeline` drives the waves overlapped (`begin_wave` /
-//! `collect_wave`, two in flight) instead of strictly one at a time —
-//! every reply value is still verified against its own wave's formulas,
-//! so cross-wave bleed fails loudly. `--stats` enables the `sqlb-obs`
+//! Waves run one at a time, and every reply value is verified against
+//! its own wave's formulas. `--stats` enables the `sqlb-obs`
 //! instrumentation and exercises the live introspection endpoint: a
 //! dedicated stats client (no endpoints) sends a `StatsRequest` to the
 //! serving wave server mid-run, and the answered snapshot must carry
@@ -27,7 +25,7 @@
 use std::process::{Child, Command, ExitCode};
 use std::time::Duration;
 
-use sqlb_core::allocation::{Allocation, CandidateInfo};
+use sqlb_core::allocation::Allocation;
 use sqlb_obs::{Obs, ObsSnapshot};
 use sqlb_transport::demo::{
     consumer_intention, host_range, provider_intention, provider_utilization, DemoConsumer,
@@ -43,12 +41,8 @@ struct Args {
     waves: u32,
     spawn: bool,
     uds: bool,
-    pipeline: bool,
     stats: bool,
 }
-
-/// Waves kept in flight at once under `--pipeline`.
-const PIPELINE_DEPTH: usize = 2;
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -58,7 +52,6 @@ fn parse_args() -> Result<Args, String> {
         waves: 3,
         spawn: false,
         uds: false,
-        pipeline: false,
         stats: false,
     };
     let mut raw = std::env::args().skip(1);
@@ -75,7 +68,6 @@ fn parse_args() -> Result<Args, String> {
             "--waves" => args.waves = number("--waves")?.max(1),
             "--spawn" => args.spawn = true,
             "--uds" => args.uds = true,
-            "--pipeline" => args.pipeline = true,
             "--stats" => args.stats = true,
             other => return Err(format!("unknown flag {other}")),
         }
@@ -229,15 +221,10 @@ fn run(args: &Args) -> Result<(), String> {
         })
         .collect();
 
-    // Verify every reply of a completed wave against the shared demo
-    // formulas, then exercise the notification path for its first query.
-    // The expected values depend on the wave's own query set, so a reply
-    // credited to the wrong wave under `--pipeline` is caught here.
-    let finish_wave = |server: &mut WaveServer,
-                       wave: usize,
-                       infos: &[Vec<CandidateInfo>]|
-     -> Result<(), String> {
-        let batch = &batches[wave];
+    // Verify every reply of each wave against the shared demo formulas,
+    // then exercise the notification path for its first query.
+    for (wave, batch) in batches.iter().enumerate() {
+        let infos = server.gather(batch);
         let round = server.last_round();
         if round.timed_out != 0 {
             return Err(format!(
@@ -245,7 +232,7 @@ fn run(args: &Args) -> Result<(), String> {
                 round.timed_out, round.delivered
             ));
         }
-        for ((query, candidates), query_infos) in batch.iter().zip(infos) {
+        for ((query, candidates), query_infos) in batch.iter().zip(&infos) {
             for (&p, info) in candidates.iter().zip(query_infos) {
                 let expected_pi = provider_intention(p);
                 let expected_ci = consumer_intention(query.consumer, p);
@@ -269,54 +256,15 @@ fn run(args: &Args) -> Result<(), String> {
             server.notify(query, candidates, &allocation);
         }
         println!(
-            "wave_server_demo: wave {wave} ok — {} endpoint requests in {:.3} ms over {} connections{}",
+            "wave_server_demo: wave {wave} ok — {} endpoint requests in {:.3} ms over {} connections",
             round.delivered,
             round.elapsed.as_secs_f64() * 1e3,
             server.connection_count(),
-            if args.pipeline { " (pipelined)" } else { "" },
         );
-        Ok(())
-    };
-
-    if args.pipeline {
-        // Overlapped drive: keep up to PIPELINE_DEPTH waves in flight;
-        // collect oldest-first so wave w's replies land in wave w's
-        // ledger while wave w+1 is already on the wire.
-        let mut collected = 0usize;
-        for batch in &batches {
-            while server.waves_in_flight() >= PIPELINE_DEPTH {
-                let replies = server
-                    .collect_wave()
-                    .ok_or("collect_wave returned nothing with waves in flight")?;
-                let infos = replies.into_candidate_infos(&batches[collected]);
-                finish_wave(&mut server, collected, &infos)?;
-                collected += 1;
-            }
-            server.begin_wave(batch);
-        }
-        while let Some(replies) = server.collect_wave() {
-            let infos = replies.into_candidate_infos(&batches[collected]);
-            finish_wave(&mut server, collected, &infos)?;
-            collected += 1;
-        }
-        if collected != batches.len() {
-            return Err(format!(
-                "pipelined run collected {collected} of {} waves",
-                batches.len()
-            ));
-        }
-        if args.stats {
+        // Mid-run, between waves: the server keeps serving after
+        // answering the introspection request.
+        if args.stats && wave == 0 {
             exchange_stats(&mut server, addr)?;
-        }
-    } else {
-        for (wave, batch) in batches.iter().enumerate() {
-            let infos = server.gather(batch);
-            finish_wave(&mut server, wave, &infos)?;
-            // Mid-run, between waves: the server keeps serving after
-            // answering the introspection request.
-            if args.stats && wave == 0 {
-                exchange_stats(&mut server, addr)?;
-            }
         }
     }
 

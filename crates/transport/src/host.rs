@@ -79,13 +79,10 @@ type BufferedProviderRequest = (u64, ProviderId, Vec<Query>, bool);
 /// Both the real [`ParticipantHost`] and the `sqlb-check` model host
 /// run this exact structure, so the checker exercises the same
 /// buffering discipline the deployment ships. The wave discipline
-/// lives in [`WaveRequestBuffer::take_wave`]: requests of *older*
-/// waves are dropped (stale leftovers of a wave the server already
-/// timed out), while requests of *newer* waves stay buffered — under
-/// depth-2 pipelining the server legitimately writes wave `t+1`
-/// requests before the host has seen wave `t`'s end marker, and
-/// dropping them would silently degrade the next wave to
-/// indifference.
+/// lives in [`WaveRequestBuffer::take_wave`]: the server writes one
+/// wave at a time, so at a wave's end marker every buffered request of
+/// another wave is a stale leftover (of a wave the server already
+/// timed out) and is dropped.
 #[derive(Debug, Clone, Default)]
 pub struct WaveRequestBuffer {
     consumers: Vec<BufferedConsumerRequest>,
@@ -131,7 +128,7 @@ impl WaveRequestBuffer {
         self.providers.push((wave, provider, queries, request_bids));
     }
 
-    /// Number of buffered requests across all waves.
+    /// Number of buffered requests.
     pub fn len(&self) -> usize {
         self.consumers.len() + self.providers.len()
     }
@@ -141,31 +138,24 @@ impl WaveRequestBuffer {
         self.consumers.is_empty() && self.providers.is_empty()
     }
 
-    /// Removes and returns `wave`'s requests in arrival order. Older
-    /// waves' leftovers are discarded; newer waves' requests (written
-    /// early by a pipelining server) remain buffered for their own
-    /// end marker.
+    /// Empties the buffer, returning `wave`'s requests in arrival
+    /// order; requests of any other wave are stale leftovers and are
+    /// discarded.
     pub fn take_wave(&mut self, wave: u64) -> TakenWave {
-        let mut taken = TakenWave::default();
-        let mut kept = Vec::new();
-        for (w, consumer, requests) in std::mem::take(&mut self.consumers) {
-            match w.cmp(&wave) {
-                std::cmp::Ordering::Equal => taken.consumers.push((consumer, requests)),
-                std::cmp::Ordering::Greater => kept.push((w, consumer, requests)),
-                std::cmp::Ordering::Less => {}
-            }
+        TakenWave {
+            consumers: self
+                .consumers
+                .drain(..)
+                .filter(|&(w, ..)| w == wave)
+                .map(|(_, consumer, requests)| (consumer, requests))
+                .collect(),
+            providers: self
+                .providers
+                .drain(..)
+                .filter(|&(w, ..)| w == wave)
+                .map(|(_, provider, queries, bids)| (provider, queries, bids))
+                .collect(),
         }
-        self.consumers = kept;
-        let mut kept = Vec::new();
-        for (w, provider, queries, bids) in std::mem::take(&mut self.providers) {
-            match w.cmp(&wave) {
-                std::cmp::Ordering::Equal => taken.providers.push((provider, queries, bids)),
-                std::cmp::Ordering::Greater => kept.push((w, provider, queries, bids)),
-                std::cmp::Ordering::Less => {}
-            }
-        }
-        self.providers = kept;
-        taken
     }
 }
 
@@ -332,9 +322,8 @@ impl ParticipantHost {
     /// no endpoints, announced or not): any wave requests or notices
     /// that arrive while waiting are discarded, so calling this on a
     /// connection that also serves endpoints would lose traffic. The
-    /// server answers stats requests whenever it reads the connection —
-    /// during wave collection, between pipelined waves, or from an
-    /// explicit [`crate::WaveServer::service_stats`] pump.
+    /// server answers stats requests at the end of every wave it runs
+    /// and from an explicit [`crate::WaveServer::service_stats`] pump.
     pub fn request_stats(&mut self) -> io::Result<sqlb_obs::ObsSnapshot> {
         self.stream
             .write_all(&encode_participant_reply(&ParticipantReply::StatsRequest))?;
@@ -484,25 +473,6 @@ mod tests {
             QueryClass::Light,
             SimTime::ZERO,
         )
-    }
-
-    #[test]
-    fn take_wave_keeps_newer_waves_buffered() {
-        // Under depth-2 pipelining the server writes wave t+1 requests
-        // before the host has answered wave t. Taking wave t must leave
-        // wave t+1's requests buffered for their own end marker — an
-        // earlier revision dropped them, silently degrading the next
-        // wave to indifference.
-        let mut buffer = WaveRequestBuffer::new();
-        buffer.push_consumer(1, ConsumerId::new(0), vec![(query(10, 0), vec![])]);
-        buffer.push_provider(2, ProviderId::new(1), vec![query(11, 0)], false);
-        let taken = buffer.take_wave(1);
-        assert_eq!(taken.consumers.len(), 1);
-        assert!(taken.providers.is_empty());
-        assert_eq!(buffer.len(), 1, "wave-2 request must stay buffered");
-        let taken = buffer.take_wave(2);
-        assert_eq!(taken.providers.len(), 1);
-        assert!(buffer.is_empty());
     }
 
     #[test]

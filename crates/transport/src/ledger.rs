@@ -2,12 +2,12 @@
 //! factored out of [`crate::WaveServer`] so the model checker
 //! (`sqlb-check`) and the real server run **one** implementation.
 //!
-//! [`WaveServer::begin_wave`](crate::WaveServer::begin_wave) plans a
+//! [`WaveServer::run_wave`](crate::WaveServer::run_wave) plans a
 //! wave's fan-out with [`WaveLedger::plan`] (which endpoints are asked,
 //! over which connection, with what framed bytes) and credits replies
 //! with [`route_reply_frame`]; everything that is pure protocol state —
-//! per-wave reply ledgers, per-connection pending counts, stale-reply
-//! and duplicate-reply rejection, cross-wave correlation — lives here,
+//! the wave's reply ledger, per-connection pending counts, stale-reply
+//! and duplicate-reply rejection, wave-id correlation — lives here,
 //! behind a seam that takes no sockets and no wall clock. The server
 //! wraps a ledger in real I/O and `Instant` deadlines; the checker wraps
 //! the same ledger in a virtual clock and enumerated message schedules.
@@ -58,11 +58,10 @@ pub fn miscount_injected() -> bool {
     MISCOUNT_INJECTED.load(Ordering::Relaxed)
 }
 
-/// One wave in flight: its reply ledgers and per-connection accounting,
-/// keyed by wave id so overlapped waves can never cross-correlate. A
-/// reply frame is routed to the ledger whose id it carries — a straggler
-/// of an already-collected wave matches no ledger and is discarded,
-/// exactly the stale-reply rule of the sequential server.
+/// The wave in flight: its reply ledger and per-connection accounting,
+/// keyed by wave id. A reply frame is credited only when it carries
+/// this ledger's id — a straggler of an already-collected wave matches
+/// no ledger and is discarded, the server's stale-reply rule.
 #[derive(Debug, Clone)]
 pub struct WaveLedger {
     wave: u64,
@@ -275,7 +274,7 @@ impl WaveLedger {
     }
 }
 
-/// What a popped reply meant to the in-flight waves.
+/// What a popped reply meant to the wave in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Applied {
     /// A fresh answer of an in-flight wave: one fewer pending request on
@@ -294,20 +293,19 @@ pub enum Applied {
     Foreign,
 }
 
-/// Routes one reply frame read from connection `slot` to the in-flight
-/// wave it answers, decoding scalars in place from the borrowed frame
-/// bytes — the steady-state receive path allocates only the reply
-/// vectors that are actually kept. A reply whose wave id matches no
-/// in-flight ledger — a straggler of a wave already collected — is still
-/// fully parsed (frame validation is unconditional) and then discarded,
-/// exactly the sequential server's stale-reply rule; a duplicate of an
-/// already-filled slot likewise validates and drops, and a reply
-/// arriving on the wrong connection validates and rejects as
-/// [`Applied::Foreign`].
+/// Routes one reply frame read from connection `slot` to the wave it
+/// answers, decoding scalars in place from the borrowed frame bytes —
+/// the steady-state receive path allocates only the reply vectors that
+/// are actually kept. A reply whose wave id matches no ledger in
+/// `waves` — a straggler of a wave already collected — is still fully
+/// parsed (frame validation is unconditional) and then discarded, the
+/// server's stale-reply rule; a duplicate of an already-filled slot
+/// likewise validates and drops, and a reply arriving on the wrong
+/// connection validates and rejects as [`Applied::Foreign`].
 ///
-/// `waves` is every in-flight ledger, oldest first — the server passes
-/// its pending queue, the model checker its virtual one; both share this
-/// exact routing and accounting.
+/// `waves` holds at most the one wave in flight: the server and the
+/// model checker pass their current ledger (or none between waves), so
+/// both share this exact routing and accounting.
 pub fn route_reply_frame<'w>(
     frame: &[u8],
     waves: impl IntoIterator<Item = &'w mut WaveLedger>,

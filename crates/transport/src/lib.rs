@@ -14,6 +14,7 @@
 //!   collects framed replies until the wave deadline, and degrades
 //!   everything still missing to indifference (never blocking the
 //!   wave), with stale-wave replies discarded by wave-id correlation;
+//!   one wave is in flight at a time, as in Algorithm 1;
 //! * [`ParticipantHost`] — the client library (and the
 //!   `participant_host` binary built on it): multiplexes many consumer
 //!   and provider endpoints over **one** connection per host — the

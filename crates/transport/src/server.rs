@@ -17,11 +17,14 @@
 //! host's connection. That is what makes tens of thousands of endpoints
 //! practical — the socket count scales with hosts, not participants.
 //!
+//! One wave is in flight at a time, as in Algorithm 1: the next query's
+//! answers depend on this wave's allocation, so [`WaveServer::run_wave`]
+//! plans, writes and collects a wave before the next one starts.
 //! Replies are correlated by wave id; a reply for an older wave (a
 //! straggler that missed its deadline) is recognized as stale and
 //! discarded, never mixed into the current wave.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
@@ -53,11 +56,11 @@ const STATS_REQUEST_TAG: u8 = 7;
 /// update when observability is off.
 #[derive(Debug, Default)]
 struct ServerMetrics {
-    /// Waves begun (`begin_wave` calls).
+    /// Waves run (`run_wave` calls).
     waves_begun: Counter,
     /// Endpoint requests written out across all waves.
     requests_delivered: Counter,
-    /// Replies credited to an in-flight ledger.
+    /// Replies credited to the current wave's ledger.
     replies_credited: Counter,
     /// Stale, duplicate or foreign replies parsed and discarded.
     replies_discarded: Counter,
@@ -70,11 +73,10 @@ struct ServerMetrics {
     bytes_in: Counter,
     /// Bytes written to host connections.
     bytes_out: Counter,
-    /// Waves currently in flight (pipeline depth).
-    pipeline_depth: Gauge,
     /// Live host connections.
     connections: Gauge,
-    /// Per-wave gather latency (begin to collect), seconds.
+    /// Per-wave gather latency (write-out to last reply or deadline),
+    /// seconds.
     wave_gather_seconds: Histogram,
 }
 
@@ -90,7 +92,6 @@ impl ServerMetrics {
             frames_reassembled: obs.counter("frames_reassembled"),
             bytes_in: obs.counter("bytes_in"),
             bytes_out: obs.counter("bytes_out"),
-            pipeline_depth: obs.gauge("pipeline_depth"),
             connections: obs.gauge("connections"),
             wave_gather_seconds: obs.histogram("wave_gather_seconds"),
         }
@@ -117,15 +118,25 @@ impl ObsCtx<'_> {
         self.t0.elapsed().as_secs_f64()
     }
 
-    /// Accounts one reassembled frame; returns `true` when the frame
-    /// was a stats request (intercepted, not for the ledger).
-    fn on_frame(&mut self, frame: &[u8], slot: usize) -> bool {
+    /// Takes one frame reassembled from connection `slot`: a stats
+    /// request is queued for [`WaveServer::flush_stats_replies`], any
+    /// other frame is routed through [`route_reply_frame`] to `ledger`
+    /// (the wave being run, if any). Returns `false` when the connection
+    /// is no longer usable: the frame was malformed or said goodbye, so
+    /// whatever the host has not answered degrades.
+    fn take_frame(&mut self, frame: &[u8], ledger: Option<&mut WaveLedger>, slot: usize) -> bool {
         self.m.frames_reassembled.inc();
         if frame.len() > 4 && frame[4] == STATS_REQUEST_TAG {
             self.stats_requests.push(slot);
             return true;
         }
-        false
+        match route_reply_frame(frame, ledger, slot) {
+            Err(_) | Ok(Applied::Goodbye) => false,
+            Ok(applied) => {
+                self.on_applied(frame, applied);
+                true
+            }
+        }
     }
 
     /// Accounts one routed reply frame.
@@ -202,19 +213,6 @@ struct HostConnection {
     providers: Vec<ProviderId>,
 }
 
-/// One wave in flight: the shared protocol ledger
-/// ([`WaveLedger`], also driven by `sqlb-check`'s model checker) plus
-/// the real-time deadline bookkeeping only the live server needs.
-struct PendingWave {
-    /// When the wave's requests were written; the collection deadline is
-    /// `started + timeout`, per wave, so overlapping does not stretch
-    /// any wave's deadline.
-    started: Instant,
-    /// Reply ledger and per-connection accounting, keyed by wave id so
-    /// overlapped waves can never cross-correlate.
-    ledger: WaveLedger,
-}
-
 /// The mediator-side socket server: accepts host connections and drives
 /// mediation waves over them.
 pub struct WaveServer {
@@ -229,12 +227,10 @@ pub struct WaveServer {
     connections: Vec<Option<HostConnection>>,
     consumer_home: BTreeMap<ConsumerId, usize>,
     provider_home: BTreeMap<ProviderId, usize>,
-    next_wave: u64,
+    /// Waves run so far; also the id of the latest wave (ids are
+    /// 1-based).
     waves: u64,
     last_round: SocketRoundStats,
-    /// Waves begun but not yet collected, oldest first (see
-    /// [`WaveServer::begin_wave`]).
-    in_flight: VecDeque<PendingWave>,
     /// Per-connection encode scratch, reused across waves so the send
     /// path of a steady-state wave allocates nothing.
     outbox: Vec<Vec<u8>>,
@@ -248,8 +244,8 @@ pub struct WaveServer {
     started_at: Instant,
     /// Connection slots with an unanswered
     /// [`ParticipantReply::StatsRequest`]; answered by
-    /// [`WaveServer::flush_stats_replies`] at the end of every
-    /// begin/collect/service call that drains frames.
+    /// [`WaveServer::flush_stats_replies`] at the end of every wave and
+    /// every [`WaveServer::service_stats`] call.
     stats_requests: Vec<usize>,
 }
 
@@ -267,10 +263,8 @@ impl WaveServer {
             connections: Vec::new(),
             consumer_home: BTreeMap::new(),
             provider_home: BTreeMap::new(),
-            next_wave: 1,
             waves: 0,
             last_round: SocketRoundStats::default(),
-            in_flight: VecDeque::new(),
             outbox: Vec::new(),
             obs: Obs::disabled(),
             metrics: ServerMetrics::default(),
@@ -487,52 +481,26 @@ impl WaveServer {
         self.last_round
     }
 
-    /// Runs one mediation wave over the connected hosts: one batched
-    /// request per distinct participant of the batch, multiplexed over
-    /// the owning host connections, answered until the configured
-    /// deadline. Returns the raw replies; missing answers (unregistered
-    /// endpoints, dead connections, replies past the deadline) are `None`
-    /// and degrade to indifference in
+    /// Runs one mediation wave over the connected hosts — the server's
+    /// only wave lifecycle. It plans one batched request per distinct
+    /// participant of the batch, writes each owning connection's burst,
+    /// then collects replies until every request is answered or the
+    /// configured deadline passes. Returns the raw replies; missing
+    /// answers (unregistered endpoints, dead connections, replies past
+    /// the deadline) are `None` and degrade to indifference in
     /// [`WaveReplies::into_candidate_infos`].
-    ///
-    /// Equivalent to [`WaveServer::begin_wave`] immediately followed by
-    /// [`WaveServer::collect_wave`] — one wave in flight, the sequential
-    /// Algorithm 1 loop.
     pub fn run_wave(&mut self, requests: &[(Query, Vec<ProviderId>)]) -> WaveReplies {
-        self.begin_wave(requests);
-        self.collect_wave()
-            .expect("the wave begun on the previous line is in flight")
-    }
-
-    /// Number of waves begun but not yet collected.
-    pub fn waves_in_flight(&self) -> usize {
-        self.in_flight.len()
-    }
-
-    /// Encodes and sends one wave's requests without waiting for any
-    /// reply, registering a reply ledger keyed by the returned wave id —
-    /// the pipelined fan-out half of [`WaveServer::run_wave`]: the caller
-    /// may begin wave `t + 1` while wave `t`'s replies are still being
-    /// computed, then drain results oldest-first with
-    /// [`WaveServer::collect_wave`]. Replies arriving for *any* in-flight
-    /// wave while another is being written or collected are credited to
-    /// their own ledger (never mixed), and each wave's deadline runs from
-    /// its own `begin_wave` call, so overlap changes throughput only —
-    /// never the timeout-to-indifference or stale-reply semantics.
-    pub fn begin_wave(&mut self, requests: &[(Query, Vec<ProviderId>)]) -> u64 {
-        let wave = self.next_wave;
-        self.next_wave += 1;
         self.waves += 1;
+        let wave = self.waves;
 
         // Plan the fan-out through the shared ledger seam: requests are
         // framed per connection into the reusable scratch buffers, each
         // involved connection's burst bracketed with the wave-end marker,
         // and the reply ledger records which slot every request was
         // charged to. Requests to endpoints with no live home connection
-        // are skipped — their answers degrade to indifference, counted
-        // at collection when the endpoint's connection is gone.
+        // are skipped and counted as unreachable.
         let connections = &self.connections;
-        let ledger = WaveLedger::plan(
+        let mut ledger = WaveLedger::plan(
             wave,
             requests,
             &self.consumer_home,
@@ -542,15 +510,10 @@ impl WaveServer {
             self.config.request_bids,
             &mut self.outbox,
         );
-
+        let started = Instant::now();
         let delivered = ledger.delivered();
-        self.in_flight.push_back(PendingWave {
-            started: Instant::now(),
-            ledger,
-        });
         self.metrics.waves_begun.inc();
         self.metrics.requests_delivered.add(delivered as u64);
-        self.metrics.pipeline_depth.set(self.in_flight.len() as i64);
         if self.obs.is_enabled() {
             self.obs.record(
                 self.started_at.elapsed().as_secs_f64(),
@@ -561,15 +524,55 @@ impl WaveServer {
             );
         }
 
-        // Write each connection's burst. With waves overlapped, the peer
-        // may itself be blocked writing an earlier wave's replies while
-        // its receive buffer is full of ours — so a stalled write drains
-        // incoming replies (credited to their waves' ledgers) instead of
-        // deadlocking on two full pipes.
+        self.write_wave(&mut ledger);
+        self.collect_replies(&mut ledger, started + self.config.timeout);
+
+        let answered = delivered - ledger.pending_total();
+        debug_assert_eq!(
+            answered,
+            ledger.stored_replies(),
+            "ledger accounting must agree with the stored replies"
+        );
+        self.last_round = SocketRoundStats {
+            wave,
+            delivered,
+            answered,
+            timed_out: delivered - answered + ledger.unreachable(),
+            elapsed: started.elapsed(),
+        };
+        self.metrics
+            .wave_gather_seconds
+            .record(self.last_round.elapsed.as_secs_f64());
+        self.metrics.connections.set(self.connection_count() as i64);
+        let timed_out = self.last_round.timed_out;
+        if timed_out > 0 {
+            self.metrics.replies_timed_out.add(timed_out as u64);
+            if self.obs.is_enabled() {
+                self.obs.record(
+                    self.started_at.elapsed().as_secs_f64(),
+                    EventKind::TimeoutIndifference {
+                        wave,
+                        count: timed_out as u64,
+                    },
+                );
+            }
+        }
+        self.flush_stats_replies();
+        ledger.into_replies()
+    }
+
+    /// Writes each connection's planned burst from the outbox. A host
+    /// still answering an earlier, timed-out wave may be blocked writing
+    /// those replies into our full receive buffer while its own receive
+    /// buffer is full of this wave's requests — so a stalled write
+    /// drains incoming frames (stale replies are discarded by wave id)
+    /// instead of deadlocking on two full pipes. A connection that makes
+    /// no progress within the write budget is closed; its requests stay
+    /// unanswered and degrade at collection.
+    fn write_wave(&mut self, ledger: &mut WaveLedger) {
         let WaveServer {
             config,
             connections,
-            in_flight,
             outbox,
             obs,
             metrics,
@@ -583,7 +586,8 @@ impl WaveServer {
             t0: *started_at,
             stats_requests,
         };
-        let write_deadline = Instant::now() + config.timeout.max(Duration::from_millis(100));
+        let write_budget = config.timeout.max(Duration::from_millis(100));
+        let write_deadline = Instant::now() + write_budget;
         for slot in 0..connections.len() {
             if outbox[slot].is_empty() {
                 continue;
@@ -606,16 +610,11 @@ impl WaveServer {
                     Ok(0) => dead = true,
                     Ok(n) => written += n,
                     Err(e) if is_timeout(&e) => {
-                        // The peer may itself be stalled writing replies
-                        // of an earlier wave into our full receive
-                        // buffer; pull those replies out so both pipes
-                        // keep moving, then retry — up to the same
-                        // overall budget a non-pipelined write had.
-                        if drain_slot(connection, in_flight, slot, &mut ctx).is_err()
-                            || Instant::now() >= write_deadline
-                        {
-                            dead = true;
-                        }
+                        // Pull the peer's pending replies out so both
+                        // pipes keep moving, then retry — up to the
+                        // overall write budget.
+                        dead = !drain_slot(connection, ledger, slot, &mut ctx)
+                            || Instant::now() >= write_deadline;
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => dead = true,
@@ -628,7 +627,7 @@ impl WaveServer {
                 dead = dead
                     || connection
                         .stream
-                        .set_write_timeout(Some(config.timeout.max(Duration::from_millis(100))))
+                        .set_write_timeout(Some(write_budget))
                         .is_err()
                     || connection.stream.flush().is_err();
             }
@@ -640,36 +639,19 @@ impl WaveServer {
                 }
             }
         }
-        self.metrics.connections.set(self.connection_count() as i64);
-        // Stats requests surfaced while draining stalled writes.
-        self.flush_stats_replies();
-        wave
     }
 
-    /// Collects the **oldest** in-flight wave: reads replies until every
-    /// request of that wave is answered or its deadline (begun at its
-    /// `begin_wave`) passes, then returns its ledger. Replies for
-    /// *newer* in-flight waves encountered along the way are credited to
-    /// their own ledgers — by the time those waves are collected, part
-    /// (or all) of their replies have usually already arrived. Returns
-    /// `None` when no wave is in flight.
-    pub fn collect_wave(&mut self) -> Option<WaveReplies> {
-        let front = self.in_flight.front()?;
-        let wave = front.ledger.wave();
-        let started = front.started;
-        let deadline = started + self.config.timeout;
-
-        // Collect replies per connection until the wave's deadline. The
-        // first pass works the connections in slot order, each allowed
-        // to block until the deadline — so one stalled host can consume
-        // the whole budget. A second, drain-only pass then harvests the
-        // replies the *other* hosts delivered in time: those frames are
-        // already sitting in this process's socket buffers and must not
-        // be miscounted as timeouts just because an earlier slot was
-        // slow.
+    /// Reads replies into `ledger` until every request is answered or
+    /// `deadline` passes. The first pass works the connections in slot
+    /// order, each allowed to block until the deadline — so one stalled
+    /// host can consume the whole budget. A second, drain-only pass
+    /// then harvests the replies the *other* hosts delivered in time:
+    /// those frames are already sitting in this process's socket
+    /// buffers and must not be miscounted as timeouts just because an
+    /// earlier slot was slow.
+    fn collect_replies(&mut self, ledger: &mut WaveLedger, deadline: Instant) {
         let WaveServer {
             connections,
-            in_flight,
             obs,
             metrics,
             started_at,
@@ -685,73 +667,45 @@ impl WaveServer {
         for drain_only in [false, true] {
             for (slot, connection_slot) in connections.iter_mut().enumerate() {
                 let mut dead = false;
-                loop {
-                    if in_flight
-                        .front()
-                        .is_none_or(|front| front.ledger.pending_on(slot) == 0)
-                    {
-                        break;
-                    }
+                while !dead && ledger.pending_on(slot) > 0 {
                     let Some(connection) = connection_slot.as_mut() else {
                         break;
                     };
                     // Drain whatever is already assembled before reading.
                     match connection.assembler.next_frame() {
-                        Err(_) => {
-                            // Garbage on the stream: frame boundaries
-                            // are lost, the connection is unusable.
-                            dead = true;
-                        }
-                        Ok(Some(frame)) => {
-                            if ctx.on_frame(frame, slot) {
-                                // An introspection request, answered in
-                                // flush_stats_replies — never routed to
-                                // a ledger.
-                                continue;
-                            }
-                            let ledgers = in_flight.iter_mut().map(|w| &mut w.ledger);
-                            match route_reply_frame(frame, ledgers, slot) {
-                                Err(_) => dead = true,
-                                // The host is leaving mid-wave; whatever
-                                // it has not answered degrades.
-                                Ok(Applied::Goodbye) => dead = true,
-                                Ok(applied) => ctx.on_applied(frame, applied),
-                            }
-                            if !dead {
-                                continue;
-                            }
-                        }
+                        // Garbage on the stream: frame boundaries are
+                        // lost, the connection is unusable.
+                        Err(_) => dead = true,
+                        Ok(Some(frame)) => dead = !ctx.take_frame(frame, Some(&mut *ledger), slot),
                         Ok(None) => {
-                            let remaining = deadline.saturating_duration_since(Instant::now());
                             let timeout = if drain_only {
                                 // Harvest only what has (essentially)
                                 // already arrived; don't wait for
                                 // anything new.
                                 Duration::from_millis(1)
-                            } else if remaining.is_zero() {
-                                break;
                             } else {
+                                let remaining = deadline.saturating_duration_since(Instant::now());
+                                if remaining.is_zero() {
+                                    break;
+                                }
                                 remaining
                             };
                             if connection.stream.set_read_timeout(Some(timeout)).is_err() {
                                 dead = true;
-                            } else {
-                                match connection.assembler.fill_from(&mut connection.stream) {
-                                    Ok(0) => dead = true,
-                                    Ok(n) => ctx.m.bytes_in.add(n as u64),
-                                    Err(e) if is_timeout(&e) => {
-                                        if drain_only {
-                                            break;
-                                        }
+                                continue;
+                            }
+                            match connection.assembler.fill_from(&mut connection.stream) {
+                                Ok(0) => dead = true,
+                                Ok(n) => ctx.m.bytes_in.add(n as u64),
+                                Err(e) if is_timeout(&e) => {
+                                    if drain_only {
+                                        break;
                                     }
-                                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                                    Err(_) => dead = true,
                                 }
+                                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                                Err(_) => dead = true,
                             }
                         }
-                    }
-                    if dead {
-                        break;
                     }
                 }
                 if dead {
@@ -761,45 +715,6 @@ impl WaveServer {
                 }
             }
         }
-
-        let finished = self
-            .in_flight
-            .pop_front()
-            .expect("the front wave existed at entry and nothing pops between");
-        let delivered = finished.ledger.delivered();
-        let answered = delivered - finished.ledger.pending_total();
-        debug_assert_eq!(
-            answered,
-            finished.ledger.stored_replies(),
-            "ledger accounting must agree with the stored replies"
-        );
-        self.last_round = SocketRoundStats {
-            wave,
-            delivered,
-            answered,
-            timed_out: delivered - answered + finished.ledger.unreachable(),
-            elapsed: started.elapsed(),
-        };
-        self.metrics
-            .wave_gather_seconds
-            .record(self.last_round.elapsed.as_secs_f64());
-        self.metrics.pipeline_depth.set(self.in_flight.len() as i64);
-        self.metrics.connections.set(self.connection_count() as i64);
-        let timed_out = self.last_round.timed_out;
-        if timed_out > 0 {
-            self.metrics.replies_timed_out.add(timed_out as u64);
-            if self.obs.is_enabled() {
-                self.obs.record(
-                    self.started_at.elapsed().as_secs_f64(),
-                    EventKind::TimeoutIndifference {
-                        wave,
-                        count: timed_out as u64,
-                    },
-                );
-            }
-        }
-        self.flush_stats_replies();
-        Some(finished.ledger.into_replies())
     }
 
     /// Gathers the candidate information for a batch of queries in one
@@ -857,11 +772,11 @@ impl WaveServer {
         }
     }
 
-    /// Polls every live connection once for pending frames while no
-    /// wave is being collected — the idle pump behind the live
-    /// introspection endpoint. Wave replies found along the way are
-    /// credited to their in-flight ledgers exactly as
-    /// [`WaveServer::collect_wave`] would credit them; every
+    /// Polls every live connection once for pending frames between
+    /// waves — the idle pump behind the live introspection endpoint.
+    /// Wave replies found along the way are stragglers of a wave already
+    /// collected: they are validated and discarded like any stale reply;
+    /// every
     /// [`ParticipantReply::StatsRequest`] is answered with a
     /// [`MediatorMessage::StatsReply`] snapshot. Each connection gets
     /// one bounded read (`timeout`), so a call costs at most
@@ -875,7 +790,6 @@ impl WaveServer {
     pub fn service_stats(&mut self, timeout: Duration) -> usize {
         let WaveServer {
             connections,
-            in_flight,
             obs,
             metrics,
             started_at,
@@ -910,17 +824,7 @@ impl WaveServer {
                 match connection.assembler.next_frame() {
                     Err(_) => dead = true,
                     Ok(None) => break,
-                    Ok(Some(frame)) => {
-                        if ctx.on_frame(frame, slot) {
-                            continue;
-                        }
-                        let ledgers = in_flight.iter_mut().map(|w| &mut w.ledger);
-                        match route_reply_frame(frame, ledgers, slot) {
-                            Err(_) => dead = true,
-                            Ok(Applied::Goodbye) => dead = true,
-                            Ok(applied) => ctx.on_applied(frame, applied),
-                        }
-                    }
+                    Ok(Some(frame)) => dead = !ctx.take_frame(frame, None, slot),
                 }
             }
             if dead {
@@ -1080,53 +984,41 @@ fn frame_error(error: sqlb_mediation::FrameError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, error)
 }
 
-/// Drains replies already available on one connection while a wave
-/// write is stalled: pops every assembled frame (crediting whichever
-/// in-flight ledger each belongs to, via the shared
-/// [`route_reply_frame`]) and performs one short read so the peer's
-/// send buffer keeps moving. `Err` means the connection is no longer
-/// usable.
+/// Drains frames already available on one connection while a wave
+/// write is stalled: takes every assembled frame (routed to `ledger` via
+/// the shared [`route_reply_frame`]) and performs one short read so the
+/// peer's send buffer keeps moving. Returns `false` when the connection
+/// is no longer usable.
 fn drain_slot(
     connection: &mut HostConnection,
-    waves: &mut VecDeque<PendingWave>,
+    ledger: &mut WaveLedger,
     slot: usize,
     ctx: &mut ObsCtx<'_>,
-) -> io::Result<()> {
+) -> bool {
     loop {
         match connection.assembler.next_frame() {
-            Err(error) => return Err(frame_error(error)),
+            Err(_) => return false,
             Ok(None) => break,
             Ok(Some(frame)) => {
-                if ctx.on_frame(frame, slot) {
-                    // An introspection request; queued for
-                    // flush_stats_replies, never routed to a ledger.
-                    continue;
-                }
-                let ledgers = waves.iter_mut().map(|w| &mut w.ledger);
-                match route_reply_frame(frame, ledgers, slot) {
-                    Err(error) => return Err(frame_error(error)),
-                    Ok(Applied::Goodbye) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::ConnectionAborted,
-                            "host said goodbye mid-wave",
-                        ))
-                    }
-                    Ok(applied) => ctx.on_applied(frame, applied),
+                if !ctx.take_frame(frame, Some(&mut *ledger), slot) {
+                    return false;
                 }
             }
         }
     }
-    connection
+    if connection
         .stream
-        .set_read_timeout(Some(Duration::from_millis(1)))?;
+        .set_read_timeout(Some(Duration::from_millis(1)))
+        .is_err()
+    {
+        return false;
+    }
     match connection.assembler.fill_from(&mut connection.stream) {
-        Ok(0) => Err(io::ErrorKind::UnexpectedEof.into()),
+        Ok(0) => false,
         Ok(n) => {
             ctx.m.bytes_in.add(n as u64);
-            Ok(())
+            true
         }
-        Err(e) if is_timeout(&e) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(()),
-        Err(e) => Err(e),
+        Err(e) => is_timeout(&e) || e.kind() == io::ErrorKind::Interrupted,
     }
 }

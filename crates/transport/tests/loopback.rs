@@ -5,7 +5,6 @@
 
 use std::time::Duration;
 
-use sqlb_mediation::WaveReplies;
 use sqlb_mediation::{ConsumerEndpoint, Latency, ProviderAnswer, ProviderEndpoint};
 use sqlb_transport::{ParticipantHost, ServerConfig, SocketMediator, WaveJobs, WaveServer};
 use sqlb_types::{ConsumerId, ProviderId, Query, QueryClass, QueryId, SimTime};
@@ -66,39 +65,6 @@ impl ProviderEndpoint for Canned {
     }
     fn latency(&mut self) -> Latency {
         self.effective_latency()
-    }
-}
-
-/// A provider whose intention encodes the query id (`base + id/10`), so
-/// replies belonging to different waves are distinguishable on arrival —
-/// the overlap tests rely on this to prove no cross-wave mixing.
-struct PerQuery {
-    base: f64,
-    slow_once: Option<Duration>,
-}
-
-impl PerQuery {
-    fn new(base: f64) -> Self {
-        PerQuery {
-            base,
-            slow_once: None,
-        }
-    }
-}
-
-impl ProviderEndpoint for PerQuery {
-    fn intention(&mut self, q: &Query) -> f64 {
-        self.base + q.id.raw() as f64 / 10.0
-    }
-    fn utilization(&mut self) -> f64 {
-        0.25
-    }
-    fn allocation_notice(&mut self, _query: QueryId, _selected: bool) {}
-    fn latency(&mut self) -> Latency {
-        match self.slow_once.take() {
-            Some(delay) => Latency::After(delay),
-            None => Latency::Immediate,
-        }
     }
 }
 
@@ -555,196 +521,4 @@ fn a_stalled_early_connection_does_not_eat_later_hosts_replies() {
     server.shutdown();
     assert!(silent.join().unwrap().clean_shutdown);
     assert!(fast.join().unwrap().clean_shutdown);
-}
-
-// ---- pipelined (overlapped) waves --------------------------------------
-
-/// Every provider answer present in `replies` must be about a query of
-/// `wave_queries` — the no-cross-correlation invariant of overlap.
-fn assert_answers_only_mention(replies: &WaveReplies, wave_queries: &[u32]) {
-    for (provider, reply) in &replies.providers {
-        let Some(answers) = reply else { continue };
-        for answer in answers {
-            assert!(
-                wave_queries.contains(&answer.query.raw()),
-                "provider {provider:?} answered query {:?} which belongs to another wave",
-                answer.query
-            );
-        }
-    }
-    for (consumer, reply) in &replies.consumers {
-        let Some(intentions) = reply else { continue };
-        for (query, _) in intentions {
-            assert!(
-                wave_queries.contains(&query.raw()),
-                "consumer {consumer:?} answered query {query:?} of another wave"
-            );
-        }
-    }
-}
-
-#[test]
-fn overlapped_waves_collect_in_order_with_their_own_replies() {
-    // Depth-2 pipelining over one host: wave 2 is encoded and sent while
-    // wave 1's replies are still outstanding. Each collected wave must
-    // contain exactly its own answers (the PerQuery endpoint makes them
-    // distinguishable), in begin order.
-    let mut server = server(5_000);
-    let addr = server.tcp_addr().unwrap();
-    let handle = std::thread::spawn(move || {
-        let mut host = ParticipantHost::connect_tcp(addr).unwrap();
-        host.add_consumer(ConsumerId::new(0), Canned::new(0.5));
-        host.add_provider(ProviderId::new(0), PerQuery::new(0.0));
-        host.announce().unwrap();
-        host.serve().unwrap()
-    });
-    server.accept_hosts(1, Duration::from_secs(5)).unwrap();
-
-    let first = vec![(query(1, 0), vec![ProviderId::new(0)])];
-    let second = vec![(query(2, 0), vec![ProviderId::new(0)])];
-    let w1 = server.begin_wave(&first);
-    let w2 = server.begin_wave(&second);
-    assert_eq!(w2, w1 + 1);
-    assert_eq!(server.waves_in_flight(), 2);
-
-    let replies = server.collect_wave().unwrap();
-    assert_eq!(server.waves_in_flight(), 1);
-    assert_answers_only_mention(&replies, &[1]);
-    let infos = replies.into_candidate_infos(&first);
-    assert_eq!(infos[0][0].provider_intention, 0.1);
-    assert_eq!(infos[0][0].consumer_intention, 0.5);
-    assert_eq!(server.last_round().timed_out, 0);
-
-    let replies = server.collect_wave().unwrap();
-    assert_eq!(server.waves_in_flight(), 0);
-    assert_answers_only_mention(&replies, &[2]);
-    let infos = replies.into_candidate_infos(&second);
-    assert_eq!(infos[0][0].provider_intention, 0.2);
-    assert_eq!(server.last_round().timed_out, 0);
-
-    assert!(
-        server.collect_wave().is_none(),
-        "nothing in flight: collect_wave reports it rather than blocking"
-    );
-
-    server.shutdown();
-    let report = handle.join().unwrap();
-    assert!(report.clean_shutdown);
-    assert_eq!(report.waves_served, 2);
-}
-
-#[test]
-fn early_next_wave_replies_park_in_their_own_ledger() {
-    // Two hosts, depth-2 overlap. The slot-0 host delays its wave-1
-    // reply, so while the server is still collecting wave 1 the slot-1
-    // host's wave-2 replies are already on the wire. Those early frames
-    // must be credited to wave 2's ledger — not counted into wave 1,
-    // not lost — and wave 1's delayed reply must still land in wave 1.
-    let mut server = server(5_000);
-    let addr = server.tcp_addr().unwrap();
-    let slow = std::thread::spawn(move || {
-        let mut host = ParticipantHost::connect_tcp(addr).unwrap();
-        let mut provider = PerQuery::new(0.0);
-        provider.slow_once = Some(Duration::from_millis(300));
-        host.add_provider(ProviderId::new(0), provider);
-        host.announce().unwrap();
-        host.serve().unwrap()
-    });
-    server.accept_hosts(1, Duration::from_secs(5)).unwrap(); // slot 0
-    let fast = std::thread::spawn(move || {
-        let mut host = ParticipantHost::connect_tcp(addr).unwrap();
-        host.add_consumer(ConsumerId::new(0), Canned::new(0.5));
-        host.add_provider(ProviderId::new(1), PerQuery::new(3.0));
-        host.announce().unwrap();
-        host.serve().unwrap()
-    });
-    server.accept_hosts(1, Duration::from_secs(5)).unwrap(); // slot 1
-
-    let candidates = vec![ProviderId::new(0), ProviderId::new(1)];
-    let first = vec![(query(1, 0), candidates.clone())];
-    let second = vec![(query(2, 0), candidates)];
-    server.begin_wave(&first);
-    server.begin_wave(&second);
-
-    let replies = server.collect_wave().unwrap();
-    assert_answers_only_mention(&replies, &[1]);
-    let infos = replies.into_candidate_infos(&first);
-    assert_eq!(
-        infos[0][0].provider_intention, 0.1,
-        "the delayed reply still belongs to wave 1"
-    );
-    assert_eq!(infos[0][1].provider_intention, 3.1);
-    let round = server.last_round();
-    assert_eq!(round.answered, 3);
-    assert_eq!(round.timed_out, 0);
-
-    let replies = server.collect_wave().unwrap();
-    assert_answers_only_mention(&replies, &[2]);
-    let infos = replies.into_candidate_infos(&second);
-    assert_eq!(infos[0][0].provider_intention, 0.2);
-    assert_eq!(infos[0][1].provider_intention, 3.2);
-    let round = server.last_round();
-    assert_eq!(round.answered, 3);
-    assert_eq!(round.timed_out, 0);
-
-    server.shutdown();
-    assert!(slow.join().unwrap().clean_shutdown);
-    assert!(fast.join().unwrap().clean_shutdown);
-}
-
-#[test]
-fn a_stale_reply_under_overlap_never_credits_a_later_wave() {
-    // Wave 1's provider reply misses the (short) deadline while wave 2
-    // is already in flight on the same connection. The stale frame —
-    // carrying wave id 1 — arrives between the two collections and must
-    // be parsed and discarded, not credited to wave 2; wave 2 then gets
-    // the provider's fresh answer.
-    let mut server = server(300);
-    let addr = server.tcp_addr().unwrap();
-    let handle = std::thread::spawn(move || {
-        let mut host = ParticipantHost::connect_tcp(addr).unwrap();
-        host.add_consumer(ConsumerId::new(0), Canned::new(0.5));
-        let mut provider = PerQuery::new(0.0);
-        provider.slow_once = Some(Duration::from_millis(600));
-        host.add_provider(ProviderId::new(0), provider);
-        host.announce().unwrap();
-        host.serve().unwrap()
-    });
-    server.accept_hosts(1, Duration::from_secs(5)).unwrap();
-
-    // Wave 2 starts 350 ms into wave 1's flight: wave 1's 300 ms
-    // deadline has lapsed (its provider reply lands at ~600 ms, stale),
-    // while wave 2's own deadline (350 + 300 ms) still covers the
-    // provider's fresh answer right behind the stale one.
-    let first = vec![(query(1, 0), vec![ProviderId::new(0)])];
-    let second = vec![(query(2, 0), vec![ProviderId::new(0)])];
-    server.begin_wave(&first);
-    std::thread::sleep(Duration::from_millis(350));
-    server.begin_wave(&second);
-    assert_eq!(server.waves_in_flight(), 2);
-
-    let replies = server.collect_wave().unwrap();
-    assert_answers_only_mention(&replies, &[1]);
-    let infos = replies.into_candidate_infos(&first);
-    assert_eq!(
-        infos[0][0].provider_intention, 0.0,
-        "wave 1's provider reply missed the deadline: indifference"
-    );
-    assert_eq!(
-        infos[0][0].consumer_intention, 0.5,
-        "the timely consumer reply of wave 1 was counted"
-    );
-    assert_eq!(server.last_round().timed_out, 1);
-
-    let replies = server.collect_wave().unwrap();
-    assert_answers_only_mention(&replies, &[2]);
-    let infos = replies.into_candidate_infos(&second);
-    assert_eq!(
-        infos[0][0].provider_intention, 0.2,
-        "wave 2 got the fresh answer, not the stale wave-1 one"
-    );
-    assert_eq!(server.last_round().timed_out, 0);
-
-    server.shutdown();
-    handle.join().unwrap();
 }

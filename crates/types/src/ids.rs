@@ -77,12 +77,6 @@ id_type!(
     QueryId,
     "q"
 );
-id_type!(
-    /// Identifier of a mediator. The paper's evaluation uses a single
-    /// mediator, but the model allows several competing mediators.
-    MediatorId,
-    "m"
-);
 
 /// An entity that can participate in the system either as a consumer, a
 /// provider, or both ("These sets are not necessarily disjoint, an entity may
@@ -154,7 +148,6 @@ mod tests {
         assert_eq!(ConsumerId::new(3).to_string(), "c3");
         assert_eq!(ProviderId::new(7).to_string(), "p7");
         assert_eq!(QueryId::new(42).to_string(), "q42");
-        assert_eq!(MediatorId::new(0).to_string(), "m0");
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod values;
 
 pub use capacity::{Capacity, Utilization, WorkUnits};
 pub use error::{SqlbError, SqlbResult};
-pub use ids::{ConsumerId, MediatorId, ParticipantId, ProviderId, QueryId};
+pub use ids::{ConsumerId, ParticipantId, ProviderId, QueryId};
 pub use query::{Query, QueryClass, QueryDescription};
 pub use strided::{StridedColumn, StridedTable};
 pub use table::{ParticipantTable, SlotColumn, StableId};

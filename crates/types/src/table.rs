@@ -14,7 +14,7 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::ops::{Index, IndexMut};
 
-use crate::ids::{ConsumerId, MediatorId, ProviderId, QueryId};
+use crate::ids::{ConsumerId, ProviderId, QueryId};
 
 /// A copyable identifier with a stable, dense raw index.
 pub trait StableId: Copy + Eq + fmt::Display {
@@ -41,7 +41,7 @@ macro_rules! stable_id_impls {
     )*};
 }
 
-stable_id_impls!(ConsumerId, ProviderId, MediatorId, QueryId);
+stable_id_impls!(ConsumerId, ProviderId, QueryId);
 
 /// A map from stable participant identifiers to per-participant state.
 ///

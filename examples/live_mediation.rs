@@ -19,7 +19,6 @@ use sqlb::core::mediator_state::MediatorStateConfig;
 use sqlb::core::Mediator;
 use sqlb::mediation::{AsyncMediator, ConsumerEndpoint, Latency, ProviderEndpoint, RuntimeConfig};
 use sqlb::prelude::*;
-use sqlb::types::MediatorId;
 
 /// A consumer that likes providers with an even identifier.
 struct ParityConsumer;
@@ -86,7 +85,6 @@ fn main() {
     // The allocation decision and its bookkeeping belong to a core
     // mediator; the reactor only gathers intentions and delivers results.
     let mut sqlb = Mediator::new(
-        MediatorId::new(0),
         Box::new(SqlbAllocator::new()),
         MediatorStateConfig::default(),
     );

@@ -214,7 +214,9 @@ proptest! {
         for c in 0..3u32 {
             let s = state.consumer_satisfaction(ConsumerId::new(c));
             prop_assert!((0.0..=1.0).contains(&s));
-            prop_assert!(state.consumer_allocation_satisfaction(ConsumerId::new(c)) >= 0.0);
+            if let Some(tracker) = state.consumer_tracker(ConsumerId::new(c)) {
+                prop_assert!(tracker.allocation_satisfaction() >= 0.0);
+            }
         }
     }
 }

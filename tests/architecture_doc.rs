@@ -1,8 +1,10 @@
 //! Keeps `ARCHITECTURE.md`'s `[[path]]` / `[[path:line]]` pointers
 //! checkable: every referenced path must exist in the repository and
-//! every referenced line must lie inside its file. A refactor that
-//! deletes or substantially shrinks a cited file therefore fails the
-//! test suite until the document is updated.
+//! every referenced line must lie inside its file and carry content —
+//! not a blank line or a lone closing brace, which is where a pointer
+//! lands once its file is edited above the cited item. A refactor that
+//! deletes, shrinks or shifts a cited file therefore fails the test
+//! suite until the document is updated.
 
 use std::path::{Path, PathBuf};
 
@@ -49,6 +51,12 @@ fn extract_pointers(document: &str) -> Vec<Pointer> {
     pointers
 }
 
+/// Whether a cited line holds nothing a pointer could mean: it is blank
+/// or only closes (or opens) a block, like `}` or `});`.
+fn is_filler(line: &str) -> bool {
+    line.trim().chars().all(|c| "{}()[];,".contains(c))
+}
+
 #[test]
 fn architecture_doc_pointers_resolve() {
     let root = repo_root();
@@ -89,14 +97,26 @@ fn architecture_doc_pointers_resolve() {
                 ));
                 continue;
             }
-            let lines = std::fs::read_to_string(&target)
-                .map(|content| content.lines().count())
-                .unwrap_or(0);
-            if cited == 0 || cited > lines {
+            let content = std::fs::read_to_string(&target).unwrap_or_default();
+            let lines: Vec<&str> = content.lines().collect();
+            if cited == 0 || cited > lines.len() {
                 failures.push(format!(
                     "ARCHITECTURE.md:{}: [[{}:{}]] is out of range ({} has {} lines) — \
                      update the pointer after refactoring the cited file",
-                    pointer.at, pointer.path, cited, pointer.path, lines
+                    pointer.at,
+                    pointer.path,
+                    cited,
+                    pointer.path,
+                    lines.len()
+                ));
+            } else if is_filler(lines[cited - 1]) {
+                failures.push(format!(
+                    "ARCHITECTURE.md:{}: [[{}:{}]] lands on {:?}, a line with no content — \
+                     re-aim the pointer at the item it cites",
+                    pointer.at,
+                    pointer.path,
+                    cited,
+                    lines[cited - 1]
                 ));
             }
         }
@@ -126,6 +146,20 @@ fn architecture_doc_pointers_resolve() {
             pointers.iter().any(|p| p.path.starts_with(crate_dir)),
             "ARCHITECTURE.md has no pointer into {crate_dir}"
         );
+    }
+}
+
+#[test]
+fn blank_and_lone_brace_lines_are_filler() {
+    for filler in ["", "   ", "}", "    };", "})", "{"] {
+        assert!(is_filler(filler), "{filler:?}");
+    }
+    for content in [
+        "pub fn explore() {",
+        "    }  // end of loop",
+        "struct Budget;",
+    ] {
+        assert!(!is_filler(content), "{content:?}");
     }
 }
 

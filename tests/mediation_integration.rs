@@ -10,16 +10,11 @@ use sqlb::core::mediator_state::MediatorStateConfig;
 use sqlb::core::Mediator;
 use sqlb::mediation::{AsyncMediator, ConsumerEndpoint, Latency, ProviderEndpoint, RuntimeConfig};
 use sqlb::prelude::*;
-use sqlb::types::MediatorId;
 
 /// The core mediator that decides and records each allocation; the
 /// reactor facade only gathers intentions and delivers the result.
 fn core_mediator(method: impl AllocationMethod + 'static) -> Mediator {
-    Mediator::new(
-        MediatorId::new(0),
-        Box::new(method),
-        MediatorStateConfig::default(),
-    )
+    Mediator::new(Box::new(method), MediatorStateConfig::default())
 }
 
 /// A consumer endpoint backed by a real [`ConsumerAgent`].
