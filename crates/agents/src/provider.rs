@@ -120,7 +120,7 @@ impl ProviderAgent {
             id,
             config,
             capacity,
-            class_preferences: class_preferences.iter().map(|p| p.value()).collect(),
+            class_preferences: class_preferences.into_iter().map(|p| p.value()).collect(),
             utilization: UtilizationWindow::new(
                 capacity,
                 SimDuration::from_secs(config.utilization_window_secs),

@@ -46,8 +46,7 @@ fn parse_args() -> Result<Options, String> {
                 println!(
                     "usage: sqlb_check [--scenario NAME] [--budget N] \
                      [--replay NAME:SCHEDULE] [--inject-miscount] [--splits-only]\n\
-                     scenarios: {}\n\
-                     SQLB_CHECK_FULL=1 removes the execution budget",
+                     scenarios: {}",
                     Scenario::all()
                         .iter()
                         .map(|s| s.name)
@@ -106,8 +105,6 @@ fn main() -> ExitCode {
         sqlb_transport::ledger::inject_miscount_for_tests(true);
     }
 
-    let full = std::env::var("SQLB_CHECK_FULL").is_ok_and(|v| v == "1");
-
     let mut failed = false;
 
     if !options.splits_only {
@@ -126,7 +123,7 @@ fn main() -> ExitCode {
             // Exhaustive-tier scenarios close out in seconds and run
             // unbounded even in the default CI sweep; an explicit
             // --budget overrides that for quick smoke runs.
-            let budget = if full || (scenario.exhaustive && options.budget.is_none()) {
+            let budget = if scenario.exhaustive && options.budget.is_none() {
                 Budget::UNBOUNDED
             } else {
                 Budget::executions(options.budget.unwrap_or(DEFAULT_BUDGET))

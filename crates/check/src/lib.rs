@@ -34,7 +34,6 @@
 //! sqlb_check                         # bounded sweep of every scenario
 //! sqlb_check --scenario mini         # one scenario
 //! sqlb_check --budget 200000         # explicit execution budget
-//! SQLB_CHECK_FULL=1 sqlb_check      # full (unbounded) exploration
 //! sqlb_check --replay mini:0.2.1.4   # re-run one schedule, verbose
 //! sqlb_check --inject-miscount       # prove the harness can fail
 //! ```

@@ -217,19 +217,14 @@ mod tests {
             donor.allocate(&query(i, 2), &candidates(&[(0, 0.6, 0.8)]), None);
         }
         let before = donor.state().provider_satisfaction(provider);
-        let proposed = donor
-            .state()
-            .provider_tracker(provider)
-            .unwrap()
-            .proposed_queries();
         assert!(before > 0.5, "the donor observed the provider");
+        assert_eq!(donor.state().performed_window_len(provider), 25);
 
-        let tracker = donor.state_mut().export_provider(provider).unwrap();
-        receiver.state_mut().absorb_provider(provider, tracker);
+        let window = donor.state_mut().export_provider(provider).unwrap();
+        receiver.state_mut().absorb_provider(provider, window);
 
-        assert!(donor.state().provider_tracker(provider).is_none());
-        let migrated = receiver.state().provider_tracker(provider).unwrap();
-        assert_eq!(migrated.proposed_queries(), proposed);
+        assert_eq!(donor.state().performed_window_len(provider), 0);
+        assert_eq!(receiver.state().performed_window_len(provider), 25);
         assert_eq!(receiver.state().provider_satisfaction(provider), before);
         // Exporting an unknown provider yields nothing.
         assert!(donor

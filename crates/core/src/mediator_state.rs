@@ -2,14 +2,26 @@
 //!
 //! The query allocation module cannot see private preferences, so the
 //! satisfaction values it uses in Equation 6 "have to be based on the
-//! intentions" (Section 5.3). [`MediatorState`] maintains an
-//! intention-based [`ConsumerTracker`] per consumer and an intention-based
-//! [`ProviderTracker`] per provider, updated after every allocation.
+//! intentions" (Section 5.3). [`MediatorState`] keeps exactly the two
+//! readings Equation 6 takes, and nothing else:
+//!
+//! * `δs(c)`: per consumer, a window of the Equation 2 satisfactions of
+//!   its last `consumer_window` queries;
+//! * `δs(p)`: per provider, a window of the mapped intentions of its last
+//!   `provider_performed_window` performed queries (Table 2's
+//!   `proSatSize`), created on the provider's first performed query.
+//!
+//! A candidate that is not selected moves neither reading, so recording an
+//! allocation writes for the issuing consumer and the `q.n` selected
+//! providers only. The proposal windows (adequation, Definition 5's
+//! strict reading) live with the provider agents alone.
 
-// Re-exported so layers that carry trackers across mediators (the shard
-// router's migration and churn parking paths) can name the type without a
-// direct dependency on the satisfaction crate.
-pub use sqlb_satisfaction::{ConsumerTracker, ProviderTracker};
+// Re-exported so layers that carry a provider's performed window across
+// mediators (the shard router's migration and churn parking paths) can
+// name the type without a direct dependency on the satisfaction crate.
+use sqlb_satisfaction::consumer::satisfaction_from_sum;
+use sqlb_satisfaction::unit_value;
+pub use sqlb_satisfaction::InteractionMemory;
 use sqlb_types::{ConsumerId, Intention, ProviderId, Query, StridedColumn, StridedTable};
 
 use crate::allocation::{Allocation, CandidateInfo, MediatorView, SelectionSet};
@@ -19,20 +31,19 @@ use crate::allocation::{Allocation, CandidateInfo, MediatorView, SelectionSet};
 /// state is transient (rebuilt from scratch on every call).
 #[derive(Debug, Clone, Default)]
 struct RecordScratch {
-    intentions: Vec<Intention>,
     selected_indices: Vec<usize>,
     selection: SelectionSet,
 }
 
-/// Configuration of the mediator-side trackers.
+/// Configuration of the mediator-side windows.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediatorStateConfig {
-    /// Window size for consumer trackers (`conSatSize`, Table 2: 200).
+    /// Window size for consumer satisfactions (`conSatSize`, Table 2: 200).
     pub consumer_window: usize,
-    /// Proposal-window size for provider trackers.
+    /// Proposal-window size of a provider tracker. The mediator keeps no
+    /// proposal window and does not read it.
     pub provider_proposed_window: usize,
-    /// Performed-window size for provider trackers (`proSatSize`,
-    /// Table 2: 500).
+    /// Performed-window size for providers (`proSatSize`, Table 2: 500).
     pub provider_performed_window: usize,
     /// Initial satisfaction reported before any observation
     /// (`iniSatisfaction`, Table 2: 0.5).
@@ -51,22 +62,24 @@ impl Default for MediatorStateConfig {
 }
 
 /// The mediator's view of every participant's intention-based
-/// characteristics.
+/// satisfaction.
 #[derive(Debug, Clone)]
 pub struct MediatorState {
     config: MediatorStateConfig,
-    consumers: StridedTable<ConsumerId, ConsumerTracker>,
-    providers: StridedTable<ProviderId, ProviderTracker>,
+    /// Equation 2 satisfactions of each consumer's last queries.
+    consumers: StridedTable<ConsumerId, InteractionMemory>,
+    /// Mapped intentions of each provider's last performed queries; a
+    /// provider has no window until its first performed query.
+    performed: StridedTable<ProviderId, InteractionMemory>,
     allocations: u64,
     /// Dense satisfaction column (struct-of-arrays). Invariant:
     /// `provider_satisfactions[p]` holds the exact bits of
-    /// `providers[p].satisfaction()` for every registered provider, and
-    /// the initial satisfaction (the column's fill value) for every
-    /// absent slot — so the Equation 6 hot path streams contiguous
-    /// `f64`s instead of chasing tracker entries through the table.
-    /// Refreshed at every point a tracker's performed window can change:
-    /// proposal recording, registration, removal, and migration
-    /// export/absorb.
+    /// `performed[p].mean_or(initial_satisfaction)` for every provider
+    /// with a window, and the initial satisfaction (the column's fill
+    /// value) for every other slot — so the Equation 6 hot path streams
+    /// contiguous `f64`s instead of chasing windows through the table.
+    /// Refreshed wherever a window changes: a performed query, removal,
+    /// and migration export/absorb.
     provider_satisfactions: StridedColumn<ProviderId, f64>,
     /// Transient buffers, rebuilt on every recorded allocation (not part
     /// of the mediator's logical state).
@@ -74,7 +87,7 @@ pub struct MediatorState {
 }
 
 impl MediatorState {
-    /// Creates a state with the given tracker configuration.
+    /// Creates a state with the given window configuration.
     pub fn new(config: MediatorStateConfig) -> Self {
         MediatorState::with_slot_stride(config, 0, 1)
     }
@@ -96,7 +109,7 @@ impl MediatorState {
         MediatorState {
             config,
             consumers: StridedTable::with_stride(offset, stride),
-            providers: StridedTable::with_stride(offset, stride),
+            performed: StridedTable::with_stride(offset, stride),
             allocations: 0,
             provider_satisfactions: StridedColumn::with_stride(
                 config.initial_satisfaction,
@@ -112,20 +125,12 @@ impl MediatorState {
         MediatorState::new(MediatorStateConfig::default())
     }
 
-    /// Registers a consumer explicitly (consumers are otherwise registered
-    /// lazily on their first allocation).
-    pub fn register_consumer(&mut self, consumer: ConsumerId) {
-        let config = self.config;
-        self.consumers.or_insert_with(consumer, || {
-            ConsumerTracker::new(config.consumer_window, config.initial_satisfaction)
-        });
-    }
-
-    /// Registers a provider explicitly.
-    pub fn register_provider(&mut self, provider: ProviderId) {
-        let tracker = register_provider_in(&mut self.providers, self.config, provider);
-        let satisfaction = tracker.satisfaction();
-        self.provider_satisfactions.set(provider, satisfaction);
+    /// Registers a consumer on its first allocation and returns its
+    /// satisfaction window.
+    fn register_consumer(&mut self, consumer: ConsumerId) -> &mut InteractionMemory {
+        let window = self.config.consumer_window;
+        self.consumers
+            .or_insert_with(consumer, || InteractionMemory::new(window))
     }
 
     /// Forgets a consumer (e.g. after it departs from the system).
@@ -135,38 +140,40 @@ impl MediatorState {
 
     /// Forgets a provider.
     pub fn remove_provider(&mut self, provider: ProviderId) {
-        self.providers.remove(provider);
+        self.performed.remove(provider);
         self.provider_satisfactions.reset(provider);
     }
 
-    /// Extracts a provider's full satisfaction history so it can migrate
-    /// to another mediator shard. Returns `None` when the provider was
-    /// never observed here (the receiving shard then starts it fresh).
+    /// Extracts a provider's performed window so it can migrate to another
+    /// mediator shard. Returns `None` when the provider never performed a
+    /// query here (the receiving shard then reads the initial
+    /// satisfaction, as this one did).
     ///
     /// Unlike [`MediatorState::remove_provider`], which is for departures,
     /// this is the donor half of cross-shard migration: pair it with
     /// [`MediatorState::absorb_provider`] on the receiving state and no
     /// observation is lost in transit.
-    pub fn export_provider(&mut self, provider: ProviderId) -> Option<ProviderTracker> {
+    pub fn export_provider(&mut self, provider: ProviderId) -> Option<InteractionMemory> {
         self.provider_satisfactions.reset(provider);
-        self.providers.remove(provider)
+        self.performed.remove(provider)
     }
 
-    /// Installs a provider's satisfaction history exported from another
+    /// Installs a provider's performed window exported from another
     /// mediator shard (the receiving half of cross-shard migration). Any
-    /// existing local tracker for the provider is replaced — the exported
+    /// existing local window for the provider is replaced — the exported
     /// history is authoritative, because a provider is owned by exactly
     /// one shard at a time.
-    pub fn absorb_provider(&mut self, provider: ProviderId, tracker: ProviderTracker) {
+    pub fn absorb_provider(&mut self, provider: ProviderId, window: InteractionMemory) {
         self.provider_satisfactions
-            .set(provider, tracker.satisfaction());
-        self.providers.insert(provider, tracker);
+            .set(provider, window.mean_or(self.config.initial_satisfaction));
+        self.performed.insert(provider, window);
     }
 
-    /// Records the outcome of one query allocation: updates the issuing
-    /// consumer's tracker with its shown intentions over `P_q` and the
-    /// selected subset, and every candidate provider's tracker with its
-    /// shown intention and whether it was selected.
+    /// Records the outcome of one query allocation: pushes the issuing
+    /// consumer's Equation 2 satisfaction over the selected subset, and
+    /// each selected provider's mapped intention into its performed
+    /// window. A candidate that was not selected costs no write. Nothing
+    /// is recorded for an empty candidate set.
     ///
     /// Raw intention values are clamped into `[-1, 1]` before entering the
     /// Section 3 model.
@@ -176,55 +183,51 @@ impl MediatorState {
         candidates: &[CandidateInfo],
         allocation: &Allocation,
     ) {
-        self.register_consumer(query.consumer);
+        self.allocations += 1;
+        if candidates.is_empty() {
+            self.register_consumer(query.consumer);
+            return;
+        }
         let scratch = &mut self.scratch;
         scratch.selection.rebuild(allocation);
-        scratch.intentions.clear();
         scratch.selected_indices.clear();
-        for (i, c) in candidates.iter().enumerate() {
-            scratch
-                .intentions
-                .push(Intention::new(c.consumer_intention));
-            if scratch.selection.contains(c.provider) {
-                scratch.selected_indices.push(i);
-            }
-        }
-        if let Some(tracker) = self.consumers.get_mut(query.consumer) {
-            tracker.record_allocation(&scratch.intentions, &scratch.selected_indices, query.n);
-        }
+        scratch.selected_indices.extend(
+            candidates
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| scratch.selection.contains(c.provider))
+                .map(|(i, _)| i),
+        );
+        // Candidate-index order, as the consumer agent sums it.
+        let selected_sum = scratch
+            .selected_indices
+            .iter()
+            .map(|&i| Intention::new(candidates[i].consumer_intention).value())
+            .sum();
+        self.register_consumer(query.consumer)
+            .push(satisfaction_from_sum(selected_sum, query.n));
 
-        for candidate in candidates {
-            // The free-function registration helper keeps the provider
-            // table borrow disjoint from the scratch borrow.
-            let tracker =
-                register_provider_in(&mut self.providers, self.config, candidate.provider);
-            let performed = scratch.selection.contains(candidate.provider);
-            tracker.record_proposal(Intention::new(candidate.provider_intention), performed);
-            // Satisfaction is a function of the performed window alone, so
-            // a rejected proposal cannot move it — only selected candidates
-            // need their dense-column entry refreshed.
-            if performed {
-                let satisfaction = tracker.satisfaction();
-                self.provider_satisfactions
-                    .set(candidate.provider, satisfaction);
-            }
+        let (window, initial) = (
+            self.config.provider_performed_window,
+            self.config.initial_satisfaction,
+        );
+        for &i in &self.scratch.selected_indices {
+            let candidate = &candidates[i];
+            let performed = self
+                .performed
+                .or_insert_with(candidate.provider, || InteractionMemory::new(window));
+            performed.push(unit_value(Intention::new(candidate.provider_intention)));
+            self.provider_satisfactions
+                .set(candidate.provider, performed.mean_or(initial));
         }
-        self.allocations += 1;
     }
 
-    /// Direct access to a consumer's tracker, if registered.
-    pub fn consumer_tracker(&self, consumer: ConsumerId) -> Option<&ConsumerTracker> {
-        self.consumers.get(consumer)
-    }
-
-    /// Direct access to a provider's tracker, if registered.
-    pub fn provider_tracker(&self, provider: ProviderId) -> Option<&ProviderTracker> {
-        self.providers.get(provider)
-    }
-
-    /// Identifiers of all registered providers.
-    pub fn providers(&self) -> impl Iterator<Item = ProviderId> + '_ {
-        self.providers.keys()
+    /// Number of performed queries in a provider's window (0 when it has
+    /// none here).
+    pub fn performed_window_len(&self, provider: ProviderId) -> usize {
+        self.performed
+            .get(provider)
+            .map_or(0, InteractionMemory::len)
     }
 
     /// This mediator's own consumer readings, as a synchronization round
@@ -232,9 +235,10 @@ impl MediatorState {
     /// every consumer with at least one local observation, where the
     /// weight is the number of observations backing the reading.
     pub fn consumer_readings(&self) -> impl Iterator<Item = (ConsumerId, f64, u64)> + '_ {
-        self.consumers.iter().filter_map(|(consumer, tracker)| {
-            let weight = tracker.window_len() as u64;
-            let satisfaction = tracker.satisfaction();
+        let initial = self.config.initial_satisfaction;
+        self.consumers.iter().filter_map(move |(consumer, window)| {
+            let weight = window.len() as u64;
+            let satisfaction = window.mean_or(initial);
             (weight > 0 && satisfaction.is_finite()).then_some((consumer, satisfaction, weight))
         })
     }
@@ -244,26 +248,25 @@ impl MediatorState {
     /// weight)` that the other mediators reported at the last
     /// synchronization round. Each side is weighted by its number of
     /// observations. Without a peer reading (the mono-mediator case) this
-    /// is exactly the local tracker's reading.
+    /// is exactly the local window's reading.
     pub fn blended_consumer_satisfaction(
         &self,
         consumer: ConsumerId,
         peers: Option<(f64, u64)>,
     ) -> f64 {
-        let local = self.consumers.get(consumer);
-        match (local.map(|t| t.satisfaction()), peers) {
-            (Some(local_sat), Some((remote_sat, remote_weight))) => {
-                let local_weight = local.map_or(0, |t| t.window_len() as u64);
-                if local_weight == 0 {
+        let initial = self.config.initial_satisfaction;
+        match (self.consumers.get(consumer), peers) {
+            (Some(local), Some((remote_sat, remote_weight))) => {
+                if local.is_empty() {
                     remote_sat
                 } else {
-                    let (lw, rw) = (local_weight as f64, remote_weight as f64);
-                    (local_sat * lw + remote_sat * rw) / (lw + rw)
+                    let (lw, rw) = (local.len() as f64, remote_weight as f64);
+                    (local.mean_or(initial) * lw + remote_sat * rw) / (lw + rw)
                 }
             }
-            (Some(local_sat), None) => local_sat,
+            (Some(local), None) => local.mean_or(initial),
             (None, Some((remote_sat, _))) => remote_sat,
-            (None, None) => self.config.initial_satisfaction,
+            (None, None) => initial,
         }
     }
 
@@ -272,28 +275,10 @@ impl MediatorState {
         self.allocations
     }
 
-    /// The tracker configuration in use.
+    /// The window configuration in use.
     pub fn config(&self) -> MediatorStateConfig {
         self.config
     }
-}
-
-/// Ensures a provider tracker exists and returns it. A free function
-/// (rather than a `&mut self` method) so callers holding disjoint borrows
-/// of other `MediatorState` fields can register providers too; this is
-/// the single home of the tracker construction.
-fn register_provider_in(
-    providers: &mut StridedTable<ProviderId, ProviderTracker>,
-    config: MediatorStateConfig,
-    provider: ProviderId,
-) -> &mut ProviderTracker {
-    providers.or_insert_with(provider, || {
-        ProviderTracker::new(
-            config.provider_proposed_window,
-            config.provider_performed_window,
-            config.initial_satisfaction,
-        )
-    })
 }
 
 impl Default for MediatorState {
@@ -317,7 +302,7 @@ impl MediatorView for MediatorState {
         // that would override the consumer's intentions entirely.
         // Providers are owned by exactly one mediator shard, so no remote
         // blending is needed on this side. Served from the dense column
-        // (bit-identical to `tracker.satisfaction()` by invariant) so the
+        // (bit-identical to the window's mean by invariant) so the
         // scoring hot path does one indexed load per candidate.
         self.provider_satisfactions.get(provider)
     }
@@ -371,8 +356,8 @@ mod tests {
         let state = MediatorState::paper_default();
         assert_eq!(state.consumer_satisfaction(ConsumerId::new(7)), 0.5);
         assert_eq!(state.provider_satisfaction(ProviderId::new(7)), 0.5);
-        assert!(state.consumer_tracker(ConsumerId::new(7)).is_none());
-        assert!(state.provider_tracker(ProviderId::new(7)).is_none());
+        assert_eq!(state.consumer_readings().count(), 0);
+        assert_eq!(state.performed_window_len(ProviderId::new(7)), 0);
         assert_eq!(state.allocations(), 0);
     }
 
@@ -381,33 +366,35 @@ mod tests {
         let mut state = MediatorState::paper_default();
         let q = query();
         let cands = candidates(&[(0, 0.8, 0.9), (1, -0.5, 0.2)]);
-        let alloc = allocation_to(q.id, 0);
-        state.record_allocation(&q, &cands, &alloc);
+        state.record_allocation(&q, &cands, &allocation_to(q.id, 0));
 
         assert_eq!(state.allocations(), 1);
-        // Consumer got its preferred provider: satisfaction above
-        // adequation.
-        let consumer_adequation = state.consumer_tracker(q.consumer).unwrap().adequation();
-        assert!(state.consumer_satisfaction(q.consumer) > consumer_adequation);
-        let consumer = state.consumer_tracker(q.consumer).unwrap();
-        assert!(consumer.allocation_satisfaction() > 1.0);
-        // Selected provider's satisfaction reflects its positive intention.
-        assert!(state.provider_satisfaction(ProviderId::new(0)) > 0.9);
-        // Non-selected provider performed nothing yet, so its smoothed
-        // satisfaction stays at the initial value while its adequation
-        // reflects the proposal; its strict Definition 5 reading is 0.
-        assert_eq!(state.provider_satisfaction(ProviderId::new(1)), 0.5);
+        // Equation 2 over the selected provider: (0.8 + 1) / 2.
+        assert_eq!(state.consumer_satisfaction(q.consumer), 0.9);
         assert_eq!(
-            state
-                .provider_tracker(ProviderId::new(1))
-                .unwrap()
-                .satisfaction_strict(),
-            0.0
+            state.consumer_readings().collect::<Vec<_>>(),
+            vec![(q.consumer, 0.9, 1)]
         );
-        let provider = state.provider_tracker(ProviderId::new(1)).unwrap();
-        assert!(provider.adequation() < 0.9);
-        assert_eq!(state.providers().count(), 2);
-        assert_eq!(state.consumer_readings().count(), 1);
+        // The selected provider's window holds its mapped intention.
+        assert_eq!(state.provider_satisfaction(ProviderId::new(0)), 0.95);
+        assert_eq!(state.performed_window_len(ProviderId::new(0)), 1);
+        // The rejected one got no window and reads the initial value.
+        assert_eq!(state.provider_satisfaction(ProviderId::new(1)), 0.5);
+        assert_eq!(state.performed_window_len(ProviderId::new(1)), 0);
+    }
+
+    #[test]
+    fn an_empty_candidate_set_records_nothing() {
+        let mut state = MediatorState::paper_default();
+        let q = query();
+        let nothing = Allocation {
+            query: q.id,
+            selected: vec![],
+        };
+        state.record_allocation(&q, &[], &nothing);
+        assert_eq!(state.allocations(), 1);
+        assert_eq!(state.consumer_readings().count(), 0);
+        assert_eq!(state.consumer_satisfaction(q.consumer), 0.5);
     }
 
     #[test]
@@ -434,8 +421,8 @@ mod tests {
         state.remove_consumer(q.consumer);
         assert_eq!(state.provider_satisfaction(ProviderId::new(0)), 0.5);
         assert_eq!(state.consumer_satisfaction(q.consumer), 0.5);
-        assert!(state.provider_tracker(ProviderId::new(0)).is_none());
-        assert!(state.consumer_tracker(q.consumer).is_none());
+        assert_eq!(state.performed_window_len(ProviderId::new(0)), 0);
+        assert_eq!(state.consumer_readings().count(), 0);
     }
 
     #[test]
@@ -463,23 +450,10 @@ mod tests {
             state.blended_consumer_satisfaction(ConsumerId::new(5), Some((0.3, 4))),
             0.3
         );
-    }
-
-    /// The dense column must agree, bit for bit, with a from-scratch
-    /// tracker recompute over every slot a test touches.
-    fn assert_column_matches_trackers(state: &MediatorState, slots: u32) {
-        for slot in 0..slots {
-            let probe = ProviderId::new(slot);
-            let expected = state
-                .provider_tracker(probe)
-                .map(|t| t.satisfaction())
-                .unwrap_or(state.config().initial_satisfaction);
-            assert_eq!(
-                state.provider_satisfaction(probe).to_bits(),
-                expected.to_bits(),
-                "column diverged from tracker at slot {slot}"
-            );
-        }
+        assert_eq!(
+            state.blended_consumer_satisfaction(ConsumerId::new(9), Some((0.3, 4))),
+            0.3
+        );
     }
 
     #[test]
@@ -489,66 +463,203 @@ mod tests {
         let q = query();
         let cands = candidates(&[(0, 0.8, 0.9), (1, -0.5, 0.2)]);
         donor.record_allocation(&q, &cands, &allocation_to(q.id, 0));
-        assert_column_matches_trackers(&donor, 4);
 
-        let tracker = donor.export_provider(ProviderId::new(0)).unwrap();
-        assert_column_matches_trackers(&donor, 4);
-        receiver.absorb_provider(ProviderId::new(0), tracker);
-        assert_column_matches_trackers(&receiver, 4);
-        assert!(receiver.provider_satisfaction(ProviderId::new(0)) > 0.9);
+        // Never selected: nothing to carry.
+        assert!(donor.export_provider(ProviderId::new(1)).is_none());
+        let window = donor.export_provider(ProviderId::new(0)).unwrap();
         assert_eq!(donor.provider_satisfaction(ProviderId::new(0)), 0.5);
+        assert_eq!(donor.performed_window_len(ProviderId::new(0)), 0);
+        receiver.absorb_provider(ProviderId::new(0), window);
+        assert_eq!(receiver.provider_satisfaction(ProviderId::new(0)), 0.95);
+        assert_eq!(receiver.performed_window_len(ProviderId::new(0)), 1);
+    }
+
+    mod reference {
+        //! A reference mediator: a full `ProviderTracker` per proposed
+        //! provider and a full `ConsumerTracker` per consumer, fed every
+        //! candidate, as the agents keep them. [`MediatorState`] must
+        //! read the same bits.
+        use std::collections::BTreeMap;
+
+        use sqlb_satisfaction::{ConsumerTracker, ProviderTracker};
+
+        use super::*;
+
+        #[derive(Default)]
+        pub struct Reference {
+            pub consumers: BTreeMap<ConsumerId, ConsumerTracker>,
+            pub providers: BTreeMap<ProviderId, ProviderTracker>,
+        }
+
+        impl Reference {
+            pub fn record(
+                &mut self,
+                query: &Query,
+                candidates: &[CandidateInfo],
+                selected: &[ProviderId],
+            ) {
+                let shown: Vec<Intention> = candidates
+                    .iter()
+                    .map(|c| Intention::new(c.consumer_intention))
+                    .collect();
+                let indices: Vec<usize> = (0..candidates.len())
+                    .filter(|&i| selected.contains(&candidates[i].provider))
+                    .collect();
+                self.consumers
+                    .entry(query.consumer)
+                    .or_insert_with(|| ConsumerTracker::new(200, 0.5))
+                    .record_allocation(&shown, &indices, query.n);
+                for c in candidates {
+                    self.providers
+                        .entry(c.provider)
+                        .or_insert_with(|| ProviderTracker::new(500, 500, 0.5))
+                        .record_proposal(
+                            Intention::new(c.provider_intention),
+                            selected.contains(&c.provider),
+                        );
+                }
+            }
+
+            pub fn provider_satisfaction(&self, provider: ProviderId) -> f64 {
+                self.providers
+                    .get(&provider)
+                    .map_or(0.5, ProviderTracker::satisfaction)
+            }
+
+            pub fn consumer_readings(&self) -> Vec<(ConsumerId, f64, u64)> {
+                self.consumers
+                    .iter()
+                    .filter(|(_, t)| t.window_len() > 0)
+                    .map(|(&c, t)| (c, t.satisfaction(), t.window_len() as u64))
+                    .collect()
+            }
+        }
+    }
+
+    /// A shown value: in range, out of range, a signed zero, or not finite.
+    fn shown_value() -> impl proptest::Strategy<Value = f64> {
+        use proptest::Strategy;
+        (0u8..10, -3.0f64..=3.0).prop_map(|(kind, v)| match kind {
+            0 => -0.0,
+            1 => 0.0,
+            2 => -1.0,
+            3 => f64::NAN,
+            4 => f64::INFINITY,
+            _ => v,
+        })
+    }
+
+    /// Asserts that `state` reads, bit for bit, like `reference`.
+    fn assert_reads_alike(
+        state: &MediatorState,
+        reference: &reference::Reference,
+    ) -> Result<(), proptest::TestCaseError> {
+        for slot in 0..12u32 {
+            let p = ProviderId::new(slot);
+            proptest::prop_assert_eq!(
+                state.provider_satisfaction(p).to_bits(),
+                reference.provider_satisfaction(p).to_bits(),
+                "provider {}",
+                slot
+            );
+        }
+        let readings: Vec<_> = state
+            .consumer_readings()
+            .map(|(c, s, w)| (c, s.to_bits(), w))
+            .collect();
+        let expected: Vec<_> = reference
+            .consumer_readings()
+            .into_iter()
+            .map(|(c, s, w)| (c, s.to_bits(), w))
+            .collect();
+        proptest::prop_assert_eq!(readings, expected);
+        for c in 0..3u32 {
+            let c = ConsumerId::new(c);
+            let want = reference
+                .consumers
+                .get(&c)
+                .map_or(0.5, |t| t.satisfaction());
+            proptest::prop_assert_eq!(state.consumer_satisfaction(c).to_bits(), want.to_bits());
+        }
+        Ok(())
     }
 
     proptest::proptest! {
-        /// Property pin for the struct-of-arrays invariant: after any
-        /// sequence of registrations, departures, migrations, and recorded
-        /// allocations, the dense satisfaction column is bit-identical to
-        /// recomputing `satisfaction()` from each provider's tracker.
+        /// Recording only the selected candidates reads, bit for bit, like
+        /// full per-candidate trackers, over two mediators after any
+        /// sequence of allocations (q.n ∈ {1, 2, 3}, any selection, empty
+        /// candidate sets included), departures and migrations. As under
+        /// the shard router, each provider is a candidate only on the
+        /// mediator that owns it.
         #[test]
         fn prop_satisfaction_column_matches_recompute_after_any_sequence(
             ops in proptest::collection::vec(
-                (0u8..4, 0u32..10, -1.0f64..=1.0, -1.0f64..=1.0),
-                1..50,
+                (
+                    0u8..6,
+                    0usize..2,
+                    (0u32..3, 1u32..=3),
+                    proptest::collection::vec((0u32..12, shown_value(), shown_value()), 0..6),
+                    proptest::collection::vec(0usize..6, 0..4),
+                ),
+                1..60,
             )
         ) {
-            let mut state = MediatorState::paper_default();
-            let mut in_transit: Vec<(ProviderId, ProviderTracker)> = Vec::new();
-            for (round, (op, id, ci, pi)) in ops.into_iter().enumerate() {
-                let p = ProviderId::new(id);
+            let mut states = [MediatorState::paper_default(), MediatorState::paper_default()];
+            let mut references = [reference::Reference::default(), reference::Reference::default()];
+            let mut owner = [0usize; 12];
+            for (round, (op, at, (consumer, n), shown, picks)) in ops.into_iter().enumerate() {
+                // Distinct providers, in id order.
+                let shown: std::collections::BTreeMap<u32, (f64, f64)> =
+                    shown.into_iter().map(|(id, ci, pi)| (id, (ci, pi))).collect();
+                let cands: Vec<CandidateInfo> = shown
+                    .iter()
+                    .filter(|(&id, _)| owner[id as usize] == at)
+                    .map(|(&id, &(ci, pi))| {
+                        CandidateInfo::new(ProviderId::new(id))
+                            .with_consumer_intention(ci)
+                            .with_provider_intention(pi)
+                    })
+                    .collect();
+                let target = *shown.keys().next().unwrap_or(&(round as u32 % 12));
+                let p = ProviderId::new(target);
+                let from = owner[target as usize];
                 match op {
-                    0 => state.register_provider(p),
-                    1 => state.remove_provider(p),
-                    2 => {
-                        // One migration leg per step: export if the
-                        // provider is here, otherwise land whatever is in
-                        // transit back into this state.
-                        if let Some(t) = state.export_provider(p) {
-                            in_transit.push((p, t));
-                        } else if let Some((p2, t2)) = in_transit.pop() {
-                            state.absorb_provider(p2, t2);
+                    0 => {
+                        states[from].remove_provider(p);
+                        references[from].providers.remove(&p);
+                    }
+                    1 => {
+                        let to = 1 - from;
+                        owner[target as usize] = to;
+                        if let Some(window) = states[from].export_provider(p) {
+                            states[to].absorb_provider(p, window);
+                        }
+                        if let Some(tracker) = references[from].providers.remove(&p) {
+                            references[to].providers.insert(p, tracker);
                         }
                     }
                     _ => {
-                        let q = Query::single(
+                        let mut q = Query::single(
                             QueryId::new(round as u32),
-                            ConsumerId::new(0),
+                            ConsumerId::new(consumer),
                             QueryClass::Light,
                             SimTime::ZERO,
                         );
-                        let cands = candidates(&[(id, ci, pi)]);
-                        state.record_allocation(&q, &cands, &allocation_to(q.id, id));
+                        q.n = n;
+                        // Selection is in rank order, not candidate order.
+                        let mut selected: Vec<ProviderId> = Vec::new();
+                        for c in picks.iter().filter_map(|&pick| cands.get(pick)) {
+                            if !selected.contains(&c.provider) && selected.len() < n as usize {
+                                selected.push(c.provider);
+                            }
+                        }
+                        let allocation = Allocation { query: q.id, selected };
+                        states[at].record_allocation(&q, &cands, &allocation);
+                        references[at].record(&q, &cands, &allocation.selected);
                     }
                 }
-                for slot in 0..10u32 {
-                    let probe = ProviderId::new(slot);
-                    let expected = state
-                        .provider_tracker(probe)
-                        .map(|t| t.satisfaction())
-                        .unwrap_or(0.5);
-                    proptest::prop_assert_eq!(
-                        state.provider_satisfaction(probe).to_bits(),
-                        expected.to_bits()
-                    );
+                for (state, reference) in states.iter().zip(&references) {
+                    assert_reads_alike(state, reference)?;
                 }
             }
         }
@@ -557,12 +668,12 @@ mod tests {
     #[test]
     fn explicit_registration_is_idempotent() {
         let mut state = MediatorState::paper_default();
-        state.register_provider(ProviderId::new(3));
-        state.register_provider(ProviderId::new(3));
+        state.register_consumer(ConsumerId::new(2)).push(0.25);
         state.register_consumer(ConsumerId::new(2));
-        state.register_consumer(ConsumerId::new(2));
-        assert_eq!(state.providers().count(), 1);
-        assert!(state.consumer_tracker(ConsumerId::new(2)).is_some());
+        assert_eq!(
+            state.consumer_readings().collect::<Vec<_>>(),
+            vec![(ConsumerId::new(2), 0.25, 1)]
+        );
         assert_eq!(state.config().consumer_window, 200);
     }
 }

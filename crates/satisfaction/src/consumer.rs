@@ -34,9 +34,10 @@ pub fn consumer_query_satisfaction(selected_intentions: &[Intention], n: u32) ->
 
 /// The tail of Equation 2: maps the sum of the selected intentions and
 /// the desired result count to `[0, 1]`. Single home of the formula so
-/// the slice, iterator and tracker entry points cannot drift apart.
+/// the slice, iterator, tracker and mediator entry points cannot drift
+/// apart.
 #[inline]
-fn satisfaction_from_sum(selected_sum: f64, n: u32) -> f64 {
+pub fn satisfaction_from_sum(selected_sum: f64, n: u32) -> f64 {
     ((selected_sum / n.max(1) as f64) + 1.0) / 2.0
 }
 

@@ -52,7 +52,7 @@ pub use consumer::{
     consumer_query_adequation, consumer_query_outcome, consumer_query_satisfaction, ConsumerTracker,
 };
 pub use memory::{InteractionMemory, WindowRing};
-pub use provider::ProviderTracker;
+pub use provider::{unit_value, ProviderTracker};
 
 /// Computes an allocation satisfaction `δas = δs / δa` (Definitions 3
 /// and 6), handling the degenerate `δa = 0` case.

@@ -5,6 +5,15 @@ use sqlb_types::Intention;
 use crate::allocation_satisfaction;
 use crate::memory::{InteractionMemory, WindowRing};
 
+/// The `[0, 1]` value a shown intention enters a provider's windows with:
+/// `(x + 1) / 2` as in Definitions 4–5. It is never `-0.0` or NaN, so
+/// [`ProviderTracker::record_mapped`]'s clamp keeps its bits. The agent's
+/// tracker and the mediator's performed windows both map through here.
+#[inline]
+pub fn unit_value(shown: Intention) -> f64 {
+    shown.to_unit().value()
+}
+
 /// Tracks a provider's characteristics.
 ///
 /// * Adequation `δa(p)` (Definition 4) is computed over the provider's shown
@@ -79,11 +88,9 @@ impl ProviderTracker {
     /// value the provider showed for it (its intention, or its preference
     /// for the private view) and whether the query was allocated to it.
     ///
-    /// The value is mapped from `[-1, 1]` to `[0, 1]` via `(x + 1)/2` as in
-    /// Definitions 4–5.
+    /// The value is mapped by [`unit_value`].
     pub fn record_proposal(&mut self, shown: Intention, performed: bool) {
-        let mapped = shown.to_unit().value();
-        self.record_mapped(mapped, performed);
+        self.record_mapped(unit_value(shown), performed);
     }
 
     /// Records a proposal with an already-mapped `[0, 1]` value. Used when

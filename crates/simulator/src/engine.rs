@@ -635,28 +635,34 @@ impl Simulator {
 
     /// Runs the simulation to completion and returns the report.
     pub fn run(mut self) -> SimulationReport {
-        while let Some((time, event)) = self.queue.pop() {
-            if time.as_secs() > self.config.duration_secs {
-                break;
-            }
-            self.now = time;
-            match event {
-                Event::QueryArrival => self.handle_arrival(),
-                Event::QueryCompletion {
-                    provider,
-                    query: _,
-                    issued_at,
-                    work,
-                } => self.handle_completion(provider, issued_at, work),
-                Event::Sample => self.handle_sample(),
-                Event::Assessment => self.handle_assessment(),
-                Event::SyncViews => self.handle_sync(),
-                Event::Rebalance => self.handle_rebalance(),
-                Event::ChurnDepart { group } => self.handle_churn_depart(group),
-                Event::ChurnRejoin { group } => self.handle_churn_rejoin(group),
-            }
-        }
+        while self.step().is_some() {}
         self.finish()
+    }
+
+    /// Handles the next event and returns it, or `None` once the run is
+    /// over.
+    fn step(&mut self) -> Option<Event> {
+        let (time, event) = self.queue.pop()?;
+        if time.as_secs() > self.config.duration_secs {
+            return None;
+        }
+        self.now = time;
+        match event {
+            Event::QueryArrival => self.handle_arrival(),
+            Event::QueryCompletion {
+                provider,
+                query: _,
+                issued_at,
+                work,
+            } => self.handle_completion(provider, issued_at, work),
+            Event::Sample => self.handle_sample(),
+            Event::Assessment => self.handle_assessment(),
+            Event::SyncViews => self.handle_sync(),
+            Event::Rebalance => self.handle_rebalance(),
+            Event::ChurnDepart { group } => self.handle_churn_depart(group),
+            Event::ChurnRejoin { group } => self.handle_churn_rejoin(group),
+        }
+        Some(event)
     }
 
     fn workload_fraction(&self) -> f64 {
@@ -1927,8 +1933,12 @@ pub fn run_scenario(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::ChurnGroup;
     use crate::workload::WorkloadPattern;
-    use sqlb_agents::{EnabledReasons, ProviderDepartureRule};
+    use sqlb_agents::{
+        ConsumerDepartureRule, DepartureReason, EnabledReasons, ProviderDepartureRule,
+    };
+    use sqlb_types::StableId;
 
     fn small_config(duration: f64, seed: u64) -> SimulationConfig {
         SimulationConfig::scaled(16, 32, duration, seed)
@@ -2220,6 +2230,103 @@ mod tests {
         // Departed providers are reflected in the active-provider series.
         let last_active = report.series.active_providers.last_value().unwrap();
         assert!(last_active < report.initial_providers as f64);
+    }
+
+    /// Runs `sim` event by event and, after every `Sample`, asserts that
+    /// the mediator reads what the agents read, bit for bit: each live
+    /// provider's `provider_satisfaction` on its shard against the agent's
+    /// smoothed satisfaction and, under static routing, each live
+    /// consumer's reading on its home shard against the agent's own.
+    /// Returns the report and the number of samples checked.
+    fn run_checking_mediator_against_agents(mut sim: Simulator) -> (SimulationReport, u32) {
+        let static_routing = !sim.routing.reacts_to_load();
+        let mut samples = 0;
+        while let Some(event) = sim.step() {
+            if event != Event::Sample {
+                continue;
+            }
+            samples += 1;
+            let at = sim.now.as_secs();
+            for (id, agent) in sim.population.providers.iter() {
+                if agent.has_departed() {
+                    continue;
+                }
+                let shard = sim.router.shard_of_provider(id).expect("live provider");
+                assert_eq!(
+                    sim.router
+                        .mediator(shard)
+                        .state()
+                        .provider_satisfaction(id)
+                        .to_bits(),
+                    agent.smoothed_satisfaction().to_bits(),
+                    "provider {id:?} at {at}s"
+                );
+            }
+            if static_routing {
+                let shards = sim.router.shard_count();
+                for (id, agent) in sim.population.consumers.iter() {
+                    if agent.has_departed() {
+                        continue;
+                    }
+                    let state = sim.router.mediator(id.slot() % shards).state();
+                    assert_eq!(
+                        state.consumer_satisfaction(id).to_bits(),
+                        agent.satisfaction().to_bits(),
+                        "consumer {id:?} at {at}s"
+                    );
+                }
+            }
+        }
+        (sim.finish(), samples)
+    }
+
+    #[test]
+    fn the_mediator_reads_like_the_agents_through_every_departure_reason() {
+        let config = small_config(600.0, 17)
+            .with_workload(WorkloadPattern::Fixed(0.8))
+            .with_provider_departures(ProviderDepartureRule::with_enabled(EnabledReasons::ALL))
+            .with_consumer_departures(ConsumerDepartureRule::default());
+        // SQLB is the paper's method; the Mariposa-like run adds
+        // overutilized providers and departing consumers.
+        let mut reasons = Vec::new();
+        let mut consumer_departures = 0;
+        for method in [Method::Sqlb, Method::MariposaLike] {
+            let sim = Simulator::new(config, method).unwrap();
+            let (report, samples) = run_checking_mediator_against_agents(sim);
+            assert!(samples > 0);
+            reasons.extend(report.provider_departures.iter().map(|d| d.reason));
+            consumer_departures += report.consumer_departures.len();
+        }
+        for reason in [
+            DepartureReason::Dissatisfaction,
+            DepartureReason::Starvation,
+            DepartureReason::Overutilization,
+        ] {
+            assert!(reasons.contains(&reason), "no {reason:?} departure");
+        }
+        assert!(consumer_departures > 0);
+    }
+
+    #[test]
+    fn the_mediator_reads_like_the_agents_across_migration_and_churn() {
+        for rejoin in [RejoinPolicy::Resume, RejoinPolicy::Reset] {
+            let config = SimulationConfig::scaled(32, 64, 300.0, 5)
+                .with_workload(WorkloadPattern::Fixed(0.6))
+                .with_mediator_shards(4)
+                .with_migration(true);
+            let mut scenario = Scenario::steady("churn");
+            scenario.churn.push(ChurnGroup {
+                fraction: 0.5,
+                depart_at_secs: 60.0,
+                rejoin_at_secs: Some(150.0),
+                rejoin,
+            });
+            let sim = Simulator::with_scenario(config, Method::Sqlb, &scenario).unwrap();
+            let (report, samples) = run_checking_mediator_against_agents(sim);
+            assert!(samples > 0);
+            assert!(!report.migrations.is_empty(), "{rejoin:?}");
+            assert!(report.churn_rejoins > 0, "{rejoin:?}");
+        }
     }
 
     #[test]

@@ -18,12 +18,12 @@
 //! every other shard at the last round, walked in shard order
 //! ([`sqlb_core::mediator_state::MediatorState::blended_consumer_satisfaction`]).
 //! A departed consumer's readings leave the board at once, and each round
-//! rebuilds it from the live trackers only.
+//! rebuilds it from the live windows only.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use sqlb_core::mediator_state::{MediatorStateConfig, ProviderTracker};
+use sqlb_core::mediator_state::{InteractionMemory, MediatorStateConfig};
 use sqlb_core::{Allocation, CandidateInfo, Mediator};
 use sqlb_obs::{Counter, Obs};
 use sqlb_types::ProviderId;
@@ -42,12 +42,12 @@ pub struct ShardRouter {
     /// shard's candidate set is O(1) instead of a filter over the whole
     /// assignment table (which is O(P) per arrival, not O(P/K)).
     shard_providers: Vec<Vec<ProviderId>>,
-    /// Mediator-side satisfaction trackers of providers that churned out
-    /// of the system but may re-join ([`ShardRouter::churn_depart`]).
-    /// Under the `Resume` re-join policy [`ShardRouter::readmit_provider`]
-    /// absorbs the parked tracker back, so the mediator's view of a
+    /// Mediator-side performed windows of providers that churned out of
+    /// the system but may re-join ([`ShardRouter::churn_depart`]). Under
+    /// the `Resume` re-join policy [`ShardRouter::readmit_provider`]
+    /// absorbs the parked window back, so the mediator's view of a
     /// re-joining provider continues where it left off.
-    parked: BTreeMap<ProviderId, ProviderTracker>,
+    parked: BTreeMap<ProviderId, InteractionMemory>,
     /// Every shard's consumer readings at the last synchronization round.
     board: SyncBoard,
     /// Completed synchronization rounds.
@@ -293,18 +293,18 @@ impl ShardRouter {
     }
 
     /// Removes a churning-out provider like [`ShardRouter::remove_provider`],
-    /// but parks its mediator-side satisfaction tracker so a later
-    /// [`ShardRouter::readmit_provider`] can resume it. A provider the
-    /// shard never observed has no tracker to park; re-admission then
-    /// registers it fresh, exactly as a first allocation would.
+    /// but parks its mediator-side performed window so a later
+    /// [`ShardRouter::readmit_provider`] can resume it. A provider that
+    /// never performed a query on the shard has no window to park; it
+    /// re-joins reading the initial satisfaction, as it left.
     pub fn churn_depart(&mut self, provider: ProviderId) {
         if let Some(shard) = self.assignment.remove(provider) {
             let list = &mut self.shard_providers[shard];
             if let Ok(pos) = list.binary_search(&provider) {
                 list.remove(pos);
             }
-            if let Some(tracker) = self.shards[shard].state_mut().export_provider(provider) {
-                self.parked.insert(provider, tracker);
+            if let Some(window) = self.shards[shard].state_mut().export_provider(provider) {
+                self.parked.insert(provider, window);
             }
         }
     }
@@ -312,10 +312,10 @@ impl ShardRouter {
     /// Re-admits a churned-out provider on its home residue shard
     /// (`slot % K` — always compatible with the stride-compacted state
     /// layout, whichever shard it had migrated to before departing).
-    /// `resume` absorbs the tracker parked by
+    /// `resume` absorbs the window parked by
     /// [`ShardRouter::churn_depart`] (the `Resume` re-join policy);
-    /// otherwise — `Reset`, or nothing was parked — the provider
-    /// registers fresh. Returns the shard it now lives on, or `None`
+    /// otherwise — `Reset`, or nothing was parked — the provider starts
+    /// fresh, with no window. Returns the shard it now lives on, or `None`
     /// when the provider is already present.
     pub fn readmit_provider(&mut self, provider: ProviderId, resume: bool) -> Option<usize> {
         if self.assignment.get(provider).is_some() {
@@ -327,12 +327,10 @@ impl ShardRouter {
         if let Err(pos) = list.binary_search(&provider) {
             list.insert(pos, provider);
         }
-        let parked = self.parked.remove(&provider);
-        match parked.filter(|_| resume) {
-            Some(tracker) => self.shards[shard]
+        if let Some(window) = self.parked.remove(&provider).filter(|_| resume) {
+            self.shards[shard]
                 .state_mut()
-                .absorb_provider(provider, tracker),
-            None => self.shards[shard].state_mut().register_provider(provider),
+                .absorb_provider(provider, window);
         }
         Some(shard)
     }
@@ -367,13 +365,12 @@ impl ShardRouter {
             destination.insert(pos, provider);
         }
         *self.assignment.get_mut(provider)? = to;
-        match self.shards[from].state_mut().export_provider(provider) {
-            Some(tracker) => self.shards[to]
+        // A provider that never performed on the donor shard carries no
+        // window: it reads the initial satisfaction on the receiver too.
+        if let Some(window) = self.shards[from].state_mut().export_provider(provider) {
+            self.shards[to]
                 .state_mut()
-                .absorb_provider(provider, tracker),
-            // Never observed on the donor shard: start fresh on the
-            // receiver, as a first allocation there would.
-            None => self.shards[to].state_mut().register_provider(provider),
+                .absorb_provider(provider, window);
         }
         Some(Migration { provider, from, to })
     }
@@ -540,7 +537,7 @@ mod tests {
     fn board_readings_are_the_other_shards_readings_summed_in_shard_order() {
         let mut r = router(4, 16);
         least_loaded_traffic(&mut r, 240, 6);
-        // A second round over unchanged trackers rebuilds the same board:
+        // A second round over unchanged windows rebuilds the same board:
         // nothing is counted twice.
         r.sync_views();
         r.sync_views();
@@ -550,9 +547,9 @@ mod tests {
             let local = |shard: usize| {
                 r.mediator(shard)
                     .state()
-                    .consumer_tracker(consumer)
-                    .filter(|t| t.window_len() > 0)
-                    .map(|t| (t.satisfaction(), t.window_len() as u64))
+                    .consumer_readings()
+                    .find(|&(c, _, _)| c == consumer)
+                    .map(|(_, satisfaction, weight)| (satisfaction, weight))
             };
             if (0..4).filter(|&s| local(s).is_some()).count() > 1 {
                 spread += 1;
@@ -688,7 +685,7 @@ mod tests {
             r.mediator(1).state().provider_satisfaction(provider),
             history
         );
-        assert!(r.mediator(0).state().provider_tracker(provider).is_none());
+        assert_eq!(r.mediator(0).state().performed_window_len(provider), 0);
 
         // Degenerate moves are rejected.
         assert_eq!(r.migrate_provider(provider, 1), None, "already there");
@@ -703,7 +700,7 @@ mod tests {
         let provider = ProviderId::new(2); // shard 0, never allocated to
         r.migrate_provider(provider, 1).unwrap();
         assert_eq!(r.shard_of_provider(provider), Some(1));
-        assert!(r.mediator(1).state().provider_tracker(provider).is_some());
+        assert_eq!(r.mediator(1).state().performed_window_len(provider), 0);
         assert_eq!(r.mediator(1).state().provider_satisfaction(provider), 0.5);
     }
 
@@ -728,7 +725,7 @@ mod tests {
 
         r.churn_depart(provider);
         assert_eq!(r.shard_of_provider(provider), None);
-        assert!(r.mediator(0).state().provider_tracker(provider).is_none());
+        assert_eq!(r.mediator(0).state().performed_window_len(provider), 0);
 
         // Resume: the mediator's view continues where it left off, on the
         // home residue shard.
@@ -763,9 +760,9 @@ mod tests {
         assert!(r.mediator(1).state().provider_satisfaction(provider) > 0.9);
         r.churn_depart(provider);
         assert_eq!(r.readmit_provider(provider, false), Some(1));
-        // Reset: back to the tracker's initial satisfaction.
+        // Reset: back to the initial satisfaction.
         assert_eq!(r.mediator(1).state().provider_satisfaction(provider), 0.5);
-        // The parked tracker was discarded, so a later resume cannot
+        // The parked window was discarded, so a later resume cannot
         // resurrect it either.
         r.churn_depart(provider);
         assert_eq!(r.readmit_provider(provider, true), Some(1));

@@ -8,6 +8,8 @@
 //! * what building a provider's satisfaction state costs — the windows
 //!   must stay lazily allocated, or setup at 10⁵–10⁶ participants pays for
 //!   every empty window up front;
+//! * that a candidate the mediator does not select costs its bookkeeping
+//!   no allocation, whatever the candidate count;
 //! * what a fixed number of steady-state inline arrivals costs at a fixed
 //!   seed, after a warm-up that fills every proposal window;
 //! * what building and running one small simulation costs end to end on
@@ -29,12 +31,14 @@ use std::cell::Cell;
 
 use sqlb::agents::{ConsumerConfig, Population, PopulationConfig, ProviderAgent, ProviderConfig};
 use sqlb::core::mediator_state::MediatorStateConfig;
-use sqlb::core::{CandidateInfo, SelectionSet};
+use sqlb::core::{CandidateInfo, Mediator, SelectionSet, SqlbAllocator};
 use sqlb::obs::Registry;
 use sqlb::reputation::ReputationStore;
 use sqlb::satisfaction::ProviderTracker;
 use sqlb::sim::{MediationMode, Method, ShardRouter, SimulationConfig, Simulator, WorkloadPattern};
-use sqlb::types::{Capacity, Preference, ProviderId, Query, QueryClass, QueryId, SimTime};
+use sqlb::types::{
+    Capacity, ConsumerId, Preference, ProviderId, Query, QueryClass, QueryId, SimTime,
+};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -100,9 +104,48 @@ fn building_provider_satisfaction_state_allocates_only_the_preference_table() {
         )
     });
     assert_eq!(
-        agent, 1,
-        "ProviderAgent::new allocates its preference table and nothing else"
+        agent, 0,
+        "ProviderAgent::new reuses the caller's preference buffer and allocates nothing"
     );
+}
+
+/// Allocations made by 1 000 `Mediator::allocate` calls over `candidates`
+/// candidates, where provider 0 always wins, after one warm-up call that
+/// sizes the scoring scratch buffers to the candidate count.
+fn mediator_allocations(candidates: u32) -> u64 {
+    let infos: Vec<CandidateInfo> = (0..candidates)
+        .map(|p| {
+            let shown = if p == 0 { 1.0 } else { -1.0 };
+            CandidateInfo::new(ProviderId::new(p))
+                .with_consumer_intention(shown)
+                .with_provider_intention(shown)
+        })
+        .collect();
+    let mut mediator = Mediator::new(
+        Box::new(SqlbAllocator::new()),
+        MediatorStateConfig::default(),
+    );
+    let mut allocate = |i: u32| {
+        let query = Query::single(
+            QueryId::new(i),
+            ConsumerId::new(0),
+            QueryClass::Light,
+            SimTime::ZERO,
+        );
+        let allocation = mediator.allocate(&query, &infos, None);
+        assert_eq!(allocation.selected, [ProviderId::new(0)]);
+    };
+    allocate(0);
+    let ((), allocations) = counted(|| (1..=1_000).for_each(&mut allocate));
+    allocations
+}
+
+#[test]
+fn a_rejected_candidate_costs_the_mediator_no_allocation() {
+    // The mediator keeps windows for the issuing consumer and the selected
+    // providers only, so 396 more candidates that always lose add no heap
+    // allocation: no window, no table slot.
+    assert_eq!(mediator_allocations(4), mediator_allocations(400));
 }
 
 /// A mono-mediator SQLB system driven one inline arrival at a time
@@ -254,10 +297,10 @@ fn steady_state_inline_arrivals_allocate_a_pinned_count() {
 }
 
 /// Allocations of [`engine_run_allocations`] on the inline backend.
-const INLINE_RUN_PIN: u64 = 850;
+const INLINE_RUN_PIN: u64 = 735;
 /// Allocations of [`engine_run_allocations`] on the reactor backend: the
 /// inline count plus each wave's boxed jobs and reply vectors.
-const REACTOR_RUN_PIN: u64 = 8387;
+const REACTOR_RUN_PIN: u64 = 8272;
 
 /// Allocations made by `Simulator::new` plus `run` for one small fixed
 /// run on `mediation`: population build, backend set-up, every arrival,
@@ -300,7 +343,7 @@ fn a_reactor_engine_run_allocates_a_pinned_count() {
 /// satisfaction tables compacted to the residue class `(i, K)`, whose
 /// `1/K`-size slot vectors reach their size in fewer regrowths than
 /// full-width ones.
-const SHARDED_RUN_PINS: [(usize, u64); 4] = [(1, 9_140), (2, 9_233), (4, 9_351), (8, 9_483)];
+const SHARDED_RUN_PINS: [(usize, u64); 4] = [(1, 8_463), (2, 8_549), (4, 8_664), (8, 8_794)];
 
 /// Allocations made by `Simulator::new` plus `run` for the 32 × 64
 /// shard-throughput configuration of the `allocation` bench
@@ -339,7 +382,7 @@ fn sharded_engine_runs_allocate_pinned_counts() {
 /// live layer (registry, named instruments, recorder). Digest equality with
 /// obs on and off (`tests/observability.rs`) and this pin together gate
 /// the layer's cost; a wall-clock overhead percentage is only printed.
-const OBSERVED_K1_RUN_PIN: u64 = 9_163;
+const OBSERVED_K1_RUN_PIN: u64 = 8_486;
 
 #[test]
 fn resolving_a_registered_instrument_allocates_nothing() {

@@ -214,9 +214,10 @@ proptest! {
         for c in 0..3u32 {
             let s = state.consumer_satisfaction(ConsumerId::new(c));
             prop_assert!((0.0..=1.0).contains(&s));
-            if let Some(tracker) = state.consumer_tracker(ConsumerId::new(c)) {
-                prop_assert!(tracker.allocation_satisfaction() >= 0.0);
-            }
+        }
+        for (_, s, weight) in state.consumer_readings() {
+            prop_assert!((0.0..=1.0).contains(&s));
+            prop_assert!(weight > 0);
         }
     }
 }
